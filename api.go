@@ -148,16 +148,16 @@ func Figure4() ExamplePlatform { return platforms.Figure4() }
 func Figure5() ExamplePlatform { return platforms.Figure5() }
 
 // Serving layer (cmd/mcastd): a long-running HTTP/JSON planning
-// daemon over a sharded evaluator pool, with a platform registry, an
+// daemon over an evaluator pool, with a platform registry, an
 // LRU plan cache and singleflight request coalescing. Every response
 // is bit-identical to the serial library-call sequence for the same
 // request; see DESIGN.md Section 9.
 type (
 	// PlanServer is the planning daemon: an http.Handler wiring the
-	// platform registry, plan cache, coalescer and evaluator shards.
+	// platform registry, plan cache, coalescer and evaluator pool.
 	PlanServer = serve.Server
-	// ServeConfig parameterises a PlanServer (shard count, plan cache
-	// capacity, upload size limit).
+	// ServeConfig parameterises a PlanServer (evaluator pool size, wait
+	// queue, plan cache capacity, upload size limit).
 	ServeConfig = serve.Config
 	// PlanSpec is the shared request core — platform addressing,
 	// source, targets, bound/heuristic subsets — embedded by

@@ -6,12 +6,11 @@
 //	figures -fig 3      Theorem 5 parallel-prefix reduction
 //	figures -fig 4      Figure 4: neither LP bound is tight
 //	figures -fig 5      Figure 5: the |Ptarget| gap between the bounds
-//	figures -fig 11     Figure 11 density sweep (reduced; see cmd/experiments
-//	                    for the full paper-scale run); honours -workers for
-//	                    the concurrent sweep engine and -json to persist the
-//	                    cells
 //	figures -fig 12     Figure 12 case study: MCPH vs Multisource MC on a Tiers platform
 //	figures -fig table  Section 4 complexity table, as measured runtimes
+//
+// Figure 11's density sweep is cmd/experiments (`experiments -platforms 3`
+// prints a reduced run of both panels).
 package main
 
 import (
@@ -19,10 +18,8 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"os"
 	"time"
 
-	"repro/internal/exp"
 	"repro/internal/graph"
 	"repro/internal/heur"
 	"repro/internal/platforms"
@@ -36,12 +33,8 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
-	fig := flag.String("fig", "1", "figure to regenerate: 1, 2, 3, 4, 5, 11, 12 or table")
-	seed := flag.Int64("seed", 1, "random seed (figures 11 and 12)")
-	size := flag.String("size", "small", `platform preset for figure 11: "small" or "big"`)
-	workers := flag.Int("workers", 0, "concurrent sweep workers for figure 11 (default GOMAXPROCS)")
-	jsonOut := flag.String("json", "", "persist the figure 11 cells as JSON to this file")
-	solveStats := flag.Bool("solvestats", false, "report aggregate LP-solver statistics after the figure 11 sweep")
+	fig := flag.String("fig", "1", "figure to regenerate: 1, 2, 3, 4, 5, 12 or table")
+	seed := flag.Int64("seed", 1, "random seed (figure 12)")
 	flag.Parse()
 
 	var err error
@@ -56,8 +49,6 @@ func main() {
 		err = figure4()
 	case "5":
 		err = figure5()
-	case "11":
-		err = figure11(*seed, *size, *workers, *jsonOut, *solveStats)
 	case "12":
 		err = figure12(*seed)
 	case "table":
@@ -186,42 +177,6 @@ func figure5() error {
 	}
 	fmt.Printf("  scatter period %.4f vs optimistic period %.4f: gap %.1fx = |Ptarget| = %d\n",
 		ub.Period, lb.Period, ub.Period/lb.Period, len(pl.Targets))
-	return nil
-}
-
-// figure11 runs a reduced density sweep (3 platforms, paper densities)
-// on the concurrent engine and prints both panel baselines; the
-// paper-scale 10-platform run lives in cmd/experiments.
-func figure11(seed int64, size string, workers int, jsonOut string, solveStats bool) error {
-	cfg := exp.Config{
-		Size:      size,
-		Platforms: 3,
-		Seed:      seed,
-		Workers:   workers,
-		Progress:  os.Stderr,
-	}
-	results, err := exp.Sweep(cfg)
-	if err != nil {
-		return err
-	}
-	cells := exp.Aggregate(results)
-	if taskErr := exp.Errors(results); taskErr != nil {
-		// Per-task failures still yield the surviving cells; only a
-		// sweep with nothing to show is fatal.
-		if len(cells) == 0 {
-			return taskErr
-		}
-		fmt.Fprintf(os.Stderr, "figures: warning: some sweep tasks failed, rendering the surviving cells: %v\n", taskErr)
-	}
-	if solveStats {
-		fmt.Fprintf(os.Stderr, "solver: %v\n", exp.AggregateStats(results))
-	}
-	fmt.Printf("Figure 11 - density sweep (%s platforms, reduced to %d platforms)\n\n", size, cfg.Platforms)
-	fmt.Printf("ratio of periods to the scatter bound\n\n%s\n", exp.Table(cells, "scatter"))
-	fmt.Printf("ratio of periods to the lower bound\n\n%s", exp.Table(cells, "lb"))
-	if jsonOut != "" {
-		return exp.WriteCellsFile(jsonOut, cells)
-	}
 	return nil
 }
 

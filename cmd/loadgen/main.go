@@ -1,7 +1,7 @@
 // Command loadgen drives a mcastd daemon with synthetic plan traffic
 // and reports request rates and latency percentiles. It exists to make
 // the serving layer's concurrency story measurable: how the plan
-// cache, the coalescer and the shard pool behave under realistic
+// cache, the coalescer and the evaluator pool behave under realistic
 // arrival shapes rather than under one benchmark loop.
 //
 // Usage:
@@ -37,10 +37,11 @@
 //
 //	overload
 //	       deliberate saturation: every request bypasses the plan cache
-//	       so each one wants a compute slot, and the in-process daemon
-//	       runs with tight admission limits. Half the requests opt into
-//	       degraded mode. The report adds the shed rate (429s) and the
-//	       degraded fraction next to p99 — the overload triage triple.
+//	       so each one wants an evaluator, and the in-process daemon
+//	       runs with one evaluator and a short wait queue. Half the
+//	       requests opt into degraded mode. The report adds the shed
+//	       rate (429s) and the degraded fraction next to p99 — the
+//	       overload triage triple.
 //
 // -smoke runs every shape briefly against an in-process daemon and
 // exits nonzero on any request failure; CI runs it as a serving-stack
@@ -76,7 +77,7 @@ func main() {
 		clients  = flag.Int("clients", 8, "concurrent clients")
 		duration = flag.Duration("duration", 5*time.Second, "length of each measured phase")
 		seed     = flag.Int64("seed", 1, "workload seed (target-set pools, request mix)")
-		shards   = flag.Int("shards", 0, "evaluator shards for the in-process daemon (0 = GOMAXPROCS)")
+		shards   = flag.Int("shards", 0, "evaluator pool size for the in-process daemon (0 = GOMAXPROCS; overload uses 1)")
 		smoke    = flag.Bool("smoke", false, "short self-contained run of every shape; nonzero exit on any error")
 	)
 	flag.Parse()
@@ -91,9 +92,10 @@ func main() {
 
 	cfg := serve.Config{Shards: *shards}
 	if *shape == "overload" {
-		// Tight admission limits so the in-process daemon actually sheds;
-		// an external -addr daemon is measured with whatever it runs.
-		cfg.MaxConcurrent = 2
+		// One evaluator and a two-seat queue so the in-process daemon
+		// actually sheds; an external -addr daemon is measured with
+		// whatever it runs.
+		cfg.Shards = 1
 		cfg.MaxQueue = 2
 	}
 	base, closeFn := ensureDaemon(*addr, cfg)
@@ -375,16 +377,16 @@ func runShape(c *mcastclient.Client, shape string, clients int, duration time.Du
 
 // runOverload drives the overload shape: the hot pool is computed once
 // to warm the plan cache, then every client fires no_cache requests
-// (each wants a compute slot) with every second request opting into
+// (each wants an evaluator) with every second request opting into
 // degraded mode. Sheds (429) and degraded answers are counted
 // separately from hard errors — under deliberate saturation they are
 // the expected outcomes, not failures.
 func runOverload(c *mcastclient.Client, w *workload, rep *report, clients int, duration time.Duration, seed int64) (*report, error) {
 	// The overload pool reuses the hot target sets but asks for all
 	// three bounds: the broadcast bound's LP makes each no_cache solve
-	// long enough (tens of milliseconds) to genuinely occupy a compute
-	// slot. The other shapes' scatter/lb-only requests finish faster
-	// than arrivals can pile up behind the limiter, so they never shed.
+	// long enough (tens of milliseconds) to genuinely occupy an
+	// evaluator. The other shapes' scatter/lb-only requests finish faster
+	// than arrivals can pile up in the wait queue, so they never shed.
 	pool := make([]*serve.PlanRequest, len(w.hotPool))
 	for i, hot := range w.hotPool {
 		r := *hot
@@ -574,10 +576,10 @@ func runSmoke(seed int64) error {
 		}
 	}
 
-	// The overload shape runs against its own daemon with tight
-	// admission limits, so shedding and degraded fallbacks actually
+	// The overload shape runs against its own daemon with one evaluator
+	// and a one-seat queue, so shedding and degraded fallbacks actually
 	// happen at smoke scale.
-	ots := httptest.NewServer(serve.New(serve.Config{Shards: 2, MaxConcurrent: 1, MaxQueue: 1}))
+	ots := httptest.NewServer(serve.New(serve.Config{Shards: 1, MaxQueue: 1}))
 	defer ots.Close()
 	ots.Client().Transport.(*http.Transport).MaxIdleConnsPerHost = 64
 	orep, err := runShape(mcastclient.New(ots.URL, nil), "overload", 8, 400*time.Millisecond, seed)

@@ -1,13 +1,18 @@
 // Command mcastd is the multicast-planning daemon: a long-running
 // HTTP/JSON service that answers Series-of-Multicasts plan requests
-// over a sharded pool of warm bound evaluators (see internal/serve and
-// DESIGN.md Section 9).
+// over a pool of bound evaluators (see internal/serve and DESIGN.md
+// Section 9).
 //
 // Usage:
 //
 //	mcastd [-addr :8723] [-shards N] [-cache N] [-max-jobs N]
-//	       [-job-ttl 10m] [-default-timeout 0] [-max-concurrent N]
-//	       [-max-queue N] [-pprof 127.0.0.1:6060]
+//	       [-job-ttl 10m] [-default-timeout 0] [-max-queue N]
+//	       [-pprof 127.0.0.1:6060]
+//
+// -shards sizes the evaluator pool: how many computations run at once.
+// Plan requests beyond it wait in a queue of -max-queue seats and are
+// shed with 429/saturated past that; batch and what-if requests are
+// refused at arrival while the queue is full.
 //
 // Endpoints:
 //
@@ -59,15 +64,14 @@ func main() {
 	log.SetPrefix("mcastd: ")
 	var (
 		addr      = flag.String("addr", ":8723", "listen address")
-		shards    = flag.Int("shards", 0, "evaluator shards (0 = GOMAXPROCS)")
+		shards    = flag.Int("shards", 0, "evaluator pool size, i.e. concurrent computations (0 = GOMAXPROCS)")
 		cache     = flag.Int("cache", 0, "plan cache capacity in responses (0 = default, negative disables)")
 		drain     = flag.Duration("drain", 15*time.Second, "graceful-shutdown drain window")
 		pprofAddr = flag.String("pprof", "", "serve /debug/pprof on this address (empty disables; use a private address)")
 		maxJobs   = flag.Int("max-jobs", 0, "max unfinished async jobs before 429 (0 = default)")
 		jobTTL    = flag.Duration("job-ttl", 0, "how long finished job results stay retrievable (0 = default)")
 		defTO     = flag.Duration("default-timeout", 0, "per-request compute deadline when the request sets no timeout_ms (0 = none)")
-		maxConc   = flag.Int("max-concurrent", 0, "max concurrent computations before queueing (0 = 2x shards, negative disables admission control)")
-		maxQueue  = flag.Int("max-queue", 0, "max queued admissions before 429/saturated (0 = 4x shards)")
+		maxQueue  = flag.Int("max-queue", 0, "max computations waiting for an evaluator before 429/saturated (0 = default)")
 	)
 	flag.Parse()
 
@@ -89,14 +93,14 @@ func main() {
 
 	srv := serve.New(serve.Config{
 		Shards: *shards, CacheSize: *cache, MaxJobs: *maxJobs, JobTTL: *jobTTL,
-		DefaultTimeout: *defTO, MaxConcurrent: *maxConc, MaxQueue: *maxQueue,
+		DefaultTimeout: *defTO, MaxQueue: *maxQueue,
 	})
 	hs := &http.Server{
 		Addr:              *addr,
 		Handler:           srv,
 		ReadHeaderTimeout: 10 * time.Second,
 		// No blanket write timeout: big-platform plans legitimately run
-		// for tens of seconds; the shard pool bounds concurrent work.
+		// for tens of seconds; the evaluator pool bounds concurrent work.
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -104,7 +108,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("serving on %s with %d evaluator shards", *addr, srv.Shards())
+	log.Printf("serving on %s with %d pooled evaluators", *addr, srv.Shards())
 
 	select {
 	case err := <-errc:

@@ -33,8 +33,8 @@
 //	                   per-task seeding, so a sweep's cells are
 //	                   bit-identical for any worker count
 //	internal/serve     the mcastd planning daemon: platform registry,
-//	                   LRU plan cache, singleflight coalescing and a
-//	                   sharded evaluator pool behind an HTTP/JSON API,
+//	                   LRU plan cache, singleflight coalescing and an
+//	                   evaluator pool behind an HTTP/JSON API,
 //	                   with responses bit-identical to serial library
 //	                   calls
 //	internal/testutil  tiny shared test helpers (Near)
@@ -47,15 +47,16 @@
 // (NewEvaluator / HeuristicsWith), so the baselines and heuristics of
 // one grid cell share cached bounds, pooled cuts and one LP
 // workspace; AggregateSweepStats totals the solver statistics the
-// -solvestats flags of cmd/experiments and cmd/figures report.
+// -solvestats flag of cmd/experiments reports.
 //
 // The serving layer is surfaced as NewPlanServer / Serve (cmd/mcastd
 // adds flags and graceful shutdown); ServeConfig.Shards sets the
-// evaluator pool size, zero meaning runtime.GOMAXPROCS(0).
+// evaluator pool size, zero meaning runtime.GOMAXPROCS(0), and
+// ServeConfig.MaxQueue the wait queue in front of it.
 //
 // See README.md for a tour. The benchmarks in bench_test.go regenerate
 // every figure and table of the paper's evaluation; the Figure 11
 // benchmarks come in parallel and Serial variants to measure the
 // worker-pool speedup, and BenchmarkServePlan1Shard/...MaxShards
-// measure the serving layer's shard scaling.
+// measure how the serving layer scales with the evaluator pool.
 package repro

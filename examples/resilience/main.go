@@ -1,6 +1,6 @@
 // Resilience: stream a what-if analysis from the mcastd planning
 // daemon — upload a platform, then POST /v1/whatif and watch the
-// per-scenario NDJSON lines arrive as the shard pool evaluates node
+// per-scenario NDJSON lines arrive as the evaluator pool evaluates node
 // failures, link failures and source promotions on warm-started
 // evaluator clones, followed by the criticality summary.
 //

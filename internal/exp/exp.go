@@ -125,7 +125,7 @@ func NewRNG(seed int64, coords ...int) *rand.Rand {
 
 // Mix64 is the splitmix64 finalizer behind DeriveSeed, exported as the
 // repo's one well-scrambled 64-bit mixing function (the serving layer
-// routes plan requests over shards with it).
+// derives source-qualified platform IDs with it).
 func Mix64(z uint64) uint64 { return splitmix(z) }
 
 // taskSeed derives the deterministic per-task RNG seed from the sweep

@@ -23,8 +23,8 @@ import (
 // serving goroutine that hit the site and must be safe for concurrent
 // calls.
 type Hooks struct {
-	// SolveEnter runs at the start of every shard compute, before the
-	// evaluator solves. Returning a non-nil error makes the compute fail
+	// SolveEnter runs at the start of every pooled compute, once the
+	// evaluator is held and before it solves. Returning a non-nil error makes the compute fail
 	// with it; blocking (e.g. until ctx is done) models a stalled
 	// solver. The context is the request's, so a stall hook can honour
 	// cancellation.

@@ -5,7 +5,7 @@
 // The package is deliberately unopinionated about *what* a plan is —
 // the compute closure injected by the serving layer returns the
 // current platform version plus that version's canonical plan bytes
-// (internal/serve routes it through the same cache/coalescer/shard
+// (internal/serve routes it through the same cache/coalescer/pool
 // path as an interactive request, which is what makes every streamed
 // plan bit-identical to a cold solve of the same snapshot). live only
 // owns the concurrency semantics:

@@ -6,9 +6,6 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/faultinject"
-	"repro/internal/steady"
 )
 
 // BatchRequest is the body of POST /v1/plan:batch and POST /v1/jobs: a
@@ -42,10 +39,10 @@ type BatchItem struct {
 // BatchLine is one NDJSON line of a batch (or job) result stream:
 // per-item "plan" lines in submission order, then one "summary" line.
 // A plan line carries either the PlanResponse — bit-identical to what
-// a serial Server.Plan call returns for the same effective spec — or
+// a serial POST /v1/plan returns for the same effective spec — or
 // the item's error body; item failures never abort the batch. The
 // whole line sequence is a pure function of the request and the
-// platform contents: worker count, lane assignment, caching and
+// platform contents: worker count, evaluator assignment, caching and
 // coalescing never change a byte.
 type BatchLine struct {
 	Kind string `json:"kind"` // "plan" or "summary"
@@ -93,19 +90,19 @@ func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request) (*BatchRequ
 }
 
 // planItem answers one effective spec through the full serving stack —
-// registry resolution, plan cache, coalescer — computing, when it must,
-// on the pinned shard lane instead of the key-routed shard. Identical
-// items therefore hit the same cache entries and coalesce into the
-// same flights as interactive /v1/plan traffic. ctx aborts items that
-// have not computed yet; an abandoned flight leadership propagates
-// ctx's error, which coalesced followers do NOT inherit (they re-run;
-// see flightGroup.do).
-func (s *Server) planItem(ctx context.Context, lane int, spec *PlanSpec, noCache bool) (*PlanResponse, error) {
+// registry resolution, plan cache, coalescer, evaluator pool — exactly
+// like an interactive plan, except that a leading item waits for its
+// evaluator instead of being shed: the batch or job was admitted as a
+// whole. Identical items therefore hit the same cache entries and
+// coalesce into the same flights as interactive /v1/plan traffic. ctx
+// aborts items that have not computed yet; an abandoned flight
+// leadership propagates ctx's error, which coalesced followers do NOT
+// inherit (they re-run; see flightGroup.do).
+func (s *Server) planItem(ctx context.Context, spec *PlanSpec, noCache bool) (*PlanResponse, error) {
 	res, err := s.resolve(spec)
 	if err != nil {
 		return nil, err
 	}
-	key := res.key()
 	compute := func() (resp *PlanResponse, err error) {
 		// Guard the whole leadership, hooks included — see planResolved's
 		// compute for why a leader must never panic through flight.do.
@@ -113,44 +110,31 @@ func (s *Server) planItem(ctx context.Context, lane int, spec *PlanSpec, noCache
 		if hook := s.batchItemHook; hook != nil {
 			hook()
 		}
-		if err := faultinject.SolveEnter(ctx); err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := s.pool.runOnEv(lane, func(ev *steady.Evaluator) (err error) {
-			defer disarmPanic(&err)
-			defer armStop(ctx, ev)()
-			resp, err = executeResolved(ev, res)
-			return err
-		}); err != nil {
-			return nil, ctxSolveErr(ctx, err)
-		}
-		s.cache.put(key, resp)
-		return resp, nil
+		resp, _, err = s.computePlan(ctx, res, false)
+		return resp, err
 	}
 	if noCache {
 		return compute()
 	}
-	if resp, ok := s.cache.get(key); ok {
+	if resp, ok := s.cache.get(res.key()); ok {
 		return resp, nil
 	}
-	resp, err, _ := s.flight.do(key, compute)
+	resp, err, _ := s.flight.do(res.key(), compute)
 	return resp, err
 }
 
-// runBatch executes a batch over the shard lanes and emits the full
+// runBatch executes a batch over the evaluator pool and emits the full
 // NDJSON line sequence (plan lines in submission order, then the
 // summary) through emit. It returns the number of item errors.
 //
-// The fan-out mirrors the what-if engine: min(shards, items) workers
-// claim items from an atomic cursor and park each result in a reorder
-// buffer, which releases line i once items 0..i have all landed — the
-// stream order is the submission order whatever the completion order.
-// Workers only hold a shard mutex while actually solving (inside
-// planItem's compute), so batch items coalesce safely with interactive
-// traffic in either direction.
+// The fan-out mirrors the what-if engine: min(pool size, items)
+// workers claim items from an atomic cursor and park each result in a
+// reorder buffer, which releases line i once items 0..i have all
+// landed — the stream order is the submission order whatever the
+// completion order. Workers hold an evaluator only while actually
+// solving (inside planItem's compute), never while following a flight
+// or while emit writes to the client, so batch items coalesce safely
+// with interactive traffic in either direction.
 func (s *Server) runBatch(ctx context.Context, req *BatchRequest, emit func(BatchLine)) int {
 	n := len(req.Items)
 	specs := make([]*PlanSpec, n)
@@ -165,15 +149,11 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest, emit func(Batc
 	results := make([]itemResult, n)
 	ready := make(chan int, n)
 	var next atomic.Int64
-	workers := len(s.pool.shards)
-	if workers > n {
-		workers = n
-	}
-	startLane := int(s.batchLane.Add(1)-1) % len(s.pool.shards)
+	workers := min(s.Shards(), n)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(lane int) {
+		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
@@ -183,12 +163,12 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest, emit func(Batc
 				if err := ctx.Err(); err != nil {
 					results[i] = itemResult{err: err}
 				} else {
-					resp, err := s.planItem(ctx, lane, specs[i], req.NoCache)
+					resp, err := s.planItem(ctx, specs[i], req.NoCache)
 					results[i] = itemResult{resp: resp, err: err}
 				}
 				ready <- i
 			}
-		}((startLane + w) % len(s.pool.shards))
+		}()
 	}
 
 	// Reorder buffer: emit item i once it and every predecessor landed.
@@ -224,7 +204,7 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest, emit func(Batc
 // handleBatch is POST /v1/plan:batch: the batch engine streaming
 // straight onto the connection. A client hang-up mid-stream cancels
 // the remaining items (they drain as canceled error lines instead of
-// solving), so a dead batch does not hold the shard lanes against live
+// solving), so a dead batch does not hold evaluators against live
 // traffic — cancellation never changes bytes a client actually reads,
 // because a canceled request has no reader.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -235,17 +215,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMillis)
 	defer cancel()
-	// One admission slot covers the whole fan-out, taken before the
-	// stream starts so saturation is still a clean 429. Per-item
-	// admission would deadlock: the items run on shard lanes this batch
-	// already occupies.
-	if s.limit != nil {
-		if err := s.limit.acquire(ctx); err != nil {
-			s.countDeadline(err)
-			writeError(w, err)
-			return
-		}
-		defer s.limit.release()
+	// Admission is decided once, before the stream starts, so
+	// saturation is a clean 429; admitted items wait for evaluators and
+	// are never shed.
+	if err := s.pool.admitBulk(); err != nil {
+		writeError(w, err)
+		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)

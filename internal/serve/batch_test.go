@@ -267,8 +267,8 @@ func TestBatchHitsCacheAndCoalesces(t *testing.T) {
 // the PR 5 concurrent determinism test: several goroutines run the
 // same batches while others hammer the interactive plan endpoint with
 // overlapping specs, and every batch body must equal the serial
-// per-item reference byte for byte — whatever lane an item computed
-// on, whether it hit the cache, coalesced behind a batch sibling or
+// per-item reference byte for byte — whatever evaluator an item
+// computed on, whether it hit the cache, coalesced behind a batch sibling or
 // behind an interactive request.
 func TestConcurrentBatchesBitIdenticalToSerial(t *testing.T) {
 	s := newTestServer(t, Config{Shards: 4})

@@ -31,14 +31,17 @@ func newFlightGroup() *flightGroup {
 // concurrent callers. shared reports whether this caller was a
 // follower of another caller's computation.
 //
-// A leader that fails with a context cancellation failed for a reason
-// private to its own request — its client hung up or its deadline
-// passed — not because the computation is broken. Followers must not
-// inherit that error: a follower waking to a canceled leader loops and
-// re-runs the computation (typically becoming the next leader), and
-// its coalesced count is rolled back so the serving accounting still
-// adds up. Deterministic errors (bad instance, LP failure) are shared
-// as before: re-running could only reproduce them.
+// A leader that fails with a context cancellation or a saturation
+// verdict failed for a reason private to its own request — its client
+// hung up, its deadline passed, or its own admission was shed — not
+// because the computation is broken. Followers must not inherit that
+// error: a follower waking to such a leader loops and re-runs the
+// computation (typically becoming the next leader, with an admission
+// of its own: a batch item waits for an evaluator where an interactive
+// leader was shed), and its coalesced count is rolled back so the
+// serving accounting still adds up. Deterministic errors (bad
+// instance, LP failure) are shared as before: re-running could only
+// reproduce them.
 func (g *flightGroup) do(key planKey, fn func() (*PlanResponse, error)) (resp *PlanResponse, err error, shared bool) {
 	for {
 		g.mu.Lock()
@@ -46,7 +49,7 @@ func (g *flightGroup) do(key planKey, fn func() (*PlanResponse, error)) (resp *P
 			g.coalesced++
 			g.mu.Unlock()
 			<-c.done
-			if leaderCanceled(c.err) {
+			if leaderPrivate(c.err) {
 				g.mu.Lock()
 				g.coalesced--
 				g.mu.Unlock()
@@ -72,11 +75,11 @@ func (g *flightGroup) do(key planKey, fn func() (*PlanResponse, error)) (resp *P
 	}
 }
 
-// leaderCanceled reports whether a leader's error is a context
-// cancellation — an error about the leader's request, not about the
-// computation.
-func leaderCanceled(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+// leaderPrivate reports whether a leader's error is a context
+// cancellation or a shed admission — an error about the leader's
+// request, not about the computation.
+func leaderPrivate(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || isSaturated(err)
 }
 
 func (g *flightGroup) coalescedCount() int64 {

@@ -39,10 +39,10 @@ func marshalBody(t *testing.T, v any) []byte {
 // TestConcurrentPlansBitIdenticalToSerial is the server-path extension
 // of the PR 1 sweep determinism test: 16 goroutines hammer one
 // platform with a mix of plan requests through the full serving stack
-// (shard pool, plan cache, coalescer), and every single response body
+// (evaluator pool, plan cache, coalescer), and every single response body
 // must be byte-identical to the serial library-call reference — a
 // fresh evaluator running the same canonical sequence. Whatever a
-// request hits (cold shard, warm shard, cache, coalesced flight), the
+// request hits (cold or reused evaluator, cache, coalesced flight), the
 // answer may never change by even an ULP.
 func TestConcurrentPlansBitIdenticalToSerial(t *testing.T) {
 	if testing.Short() {

@@ -15,7 +15,8 @@ import (
 // Job states reported by GET /v1/jobs/{id}. There is no "queued"
 // state: admission control (MaxJobs / MaxJobItems) bounds how much
 // work is accepted, and an accepted job starts immediately — its items
-// then queue naturally on the shard lanes against interactive traffic.
+// then queue naturally for pooled evaluators against interactive
+// traffic.
 const (
 	JobRunning  = "running"
 	JobDone     = "done"

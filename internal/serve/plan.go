@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/exp"
 	"repro/internal/graph"
 	"repro/internal/heur"
 	"repro/internal/steady"
@@ -87,10 +86,9 @@ type PlanResponse struct {
 	Plans       []PlanResult  `json:"plans,omitempty"`
 }
 
-// planKey identifies one plan computation for the cache, the
-// coalescer and the shard router. Targets are joined as an exact
-// ID string (no hashing), so distinct requests can never collide into
-// each other's cache entries.
+// planKey identifies one plan computation for the cache and the
+// coalescer. Targets are joined as an exact ID string (no hashing), so
+// distinct requests can never collide into each other's cache entries.
 type planKey struct {
 	id      string // registered platform ID ("" for inline platforms)
 	fp      uint64
@@ -109,21 +107,6 @@ func targetsKey(targets []graph.NodeID) string {
 		fmt.Fprintf(&sb, "%d", t)
 	}
 	return sb.String()
-}
-
-// routeHash spreads plan keys over shards with the sweep engine's
-// splitmix64 finalizer. The masks are excluded so a bounds-only probe
-// and a full plan for the same problem land on the same shard;
-// distinct problems — even on one platform — spread across all
-// shards, which is what lets one hot platform scale to the whole
-// pool.
-func (k planKey) routeHash() uint64 {
-	z := k.fp
-	z = exp.Mix64(z + uint64(k.source)*0xbf58476d1ce4e5b9)
-	for i := 0; i < len(k.targets); i++ {
-		z = exp.Mix64(z + uint64(k.targets[i])*0x94d049bb133111eb)
-	}
-	return z
 }
 
 // boundsMask resolves requested bound names to a bitmask over
@@ -188,8 +171,8 @@ func indexFold(names []string, want string) int {
 // hot path hashes a registered platform once, at upload). This is
 // exactly the serial library-call sequence: the server's determinism
 // guarantee is that every response equals executePlan on a fresh
-// evaluator, whatever shard, cache or coalescer state it was actually
-// served from.
+// evaluator, whatever pooled evaluator, cache or coalescer state it
+// was actually served from.
 func executePlan(ev *steady.Evaluator, g *graph.Graph, fp uint64, source graph.NodeID, targets []graph.NodeID, bounds, heurs uint8) (*PlanResponse, error) {
 	resp := &PlanResponse{
 		Fingerprint: fmt.Sprintf("%016x", fp),

@@ -16,7 +16,7 @@ import (
 // platformEntry is one *version snapshot* of a registered platform.
 // Snapshots are immutable once published — a mutation (re-upload or
 // PATCH) builds a new graph and publishes a new entry under the same
-// ID — so every shard may read the graph concurrently without locking:
+// ID — so every evaluator may read the graph concurrently without locking:
 // nothing in the plan path mutates a published snapshot (the
 // heuristics clone before touching the activity mask), and in-flight
 // requests keep computing against the snapshot they resolved, whatever

@@ -16,8 +16,8 @@ import (
 // AfterFunc and detaches the flag, so the evaluator is safe to hand to
 // the next request. Usage: defer armStop(ctx, ev)().
 //
-// The flag is per-compute (not per-evaluator): two requests on the
-// same shard never see each other's cancellations.
+// The flag is per-compute (not per-evaluator): two requests served by
+// the same pooled evaluator never see each other's cancellations.
 func armStop(ctx context.Context, ev *steady.Evaluator) func() {
 	var stop atomic.Bool
 	cancel := context.AfterFunc(ctx, func() { stop.Store(true) })
@@ -103,7 +103,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // handleReadyz is GET /readyz: readiness, as opposed to /healthz's
 // liveness. It answers 503 while the server is draining (shutdown is
-// imminent, route new traffic elsewhere) or while admission control is
+// imminent, route new traffic elsewhere) or while the evaluator pool is
 // saturated (new compute would be shed with 429 anyway). /healthz
 // keeps answering 200 in both states — the process is alive and
 // serving, it just should not receive new traffic.
@@ -112,7 +112,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case s.draining.Load():
 		reason = "draining"
-	case s.limit != nil && s.limit.saturatedNow():
+	case s.pool.saturatedNow():
 		reason = "saturated"
 	}
 	if reason != "" {

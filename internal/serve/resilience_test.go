@@ -181,7 +181,7 @@ func TestLimiterShedsAndReadyz(t *testing.T) {
 	faultinject.Set(&faultinject.Hooks{SolveEnter: gate.hook})
 	defer faultinject.Set(nil)
 
-	s := newTestServer(t, Config{Shards: 2, MaxConcurrent: 1, MaxQueue: 1})
+	s := newTestServer(t, Config{Shards: 1, MaxQueue: 1})
 	doJSON(t, s, http.MethodPost, "/v1/platforms", UploadRequest{ID: "d", Platform: diamondText, Source: "S"})
 
 	// Leader: occupies the single compute slot, wedged on the gate.
@@ -195,7 +195,7 @@ func TestLimiterShedsAndReadyz(t *testing.T) {
 	go func() {
 		results <- doJSON(t, s, http.MethodPost, "/v1/plan", planReq([]string{"t2"}, func(r *PlanRequest) { r.NoCache = true }))
 	}()
-	waitUntil(t, "one queued admission", func() bool { return s.limit.stats().Queued == 1 })
+	waitUntil(t, "one queued admission", func() bool { return s.pool.limiterStats().Queued == 1 })
 
 	// Slot busy, queue full: the next compute is shed.
 	w := doJSON(t, s, http.MethodPost, "/v1/plan", planReq([]string{"t1", "t2"}, func(r *PlanRequest) { r.NoCache = true }))
@@ -237,7 +237,7 @@ func TestLimiterShedsAndReadyz(t *testing.T) {
 }
 
 // saturate wedges s's single compute slot and fills its single queue
-// seat (requires Config{MaxConcurrent: 1, MaxQueue: 1} and an
+// seat (requires Config{Shards: 1, MaxQueue: 1} and an
 // installed gate hook). It returns a drain func that releases the gate
 // and waits for both parked requests.
 func saturate(t *testing.T, s *Server, gate *solveGate) func() {
@@ -250,7 +250,7 @@ func saturate(t *testing.T, s *Server, gate *solveGate) func() {
 	go func() {
 		results <- doJSON(t, s, http.MethodPost, "/v1/plan", planReq([]string{"r2"}, func(r *PlanRequest) { r.NoCache = true }))
 	}()
-	waitUntil(t, "one queued admission", func() bool { return s.limit.stats().Queued == 1 })
+	waitUntil(t, "one queued admission", func() bool { return s.pool.limiterStats().Queued == 1 })
 	return func() {
 		close(gate.release)
 		for i := 0; i < 2; i++ {
@@ -273,7 +273,7 @@ edge r2 t1 1
 `
 
 func TestDegradedCacheFallback(t *testing.T) {
-	s := newTestServer(t, Config{Shards: 2, MaxConcurrent: 1, MaxQueue: 1})
+	s := newTestServer(t, Config{Shards: 1, MaxQueue: 1})
 	doJSON(t, s, http.MethodPost, "/v1/platforms", UploadRequest{ID: "d", Platform: occupyText, Source: "S"})
 
 	// Warm the exact spec before the hooks go in.
@@ -319,7 +319,7 @@ func TestDegradedCacheFallback(t *testing.T) {
 }
 
 func TestDegradedTreeFallback(t *testing.T) {
-	s := newTestServer(t, Config{Shards: 2, MaxConcurrent: 1, MaxQueue: 1})
+	s := newTestServer(t, Config{Shards: 1, MaxQueue: 1})
 	doJSON(t, s, http.MethodPost, "/v1/platforms", UploadRequest{ID: "d", Platform: occupyText, Source: "S"})
 	doJSON(t, s, http.MethodPost, "/v1/platforms", UploadRequest{ID: "tree", Platform: treeText, Source: "S"})
 
@@ -330,7 +330,7 @@ func TestDegradedTreeFallback(t *testing.T) {
 
 	// The tree spec was never computed, so the cache fallback misses —
 	// but the platform is a tree, so the combinatorial bounds-only path
-	// answers without touching the saturated shard pool.
+	// answers without touching the saturated evaluator pool.
 	spec := PlanSpec{PlatformID: "tree", Targets: []string{"c", "d"}, Heuristics: []string{}}
 	w := doJSON(t, s, http.MethodPost, "/v1/plan", PlanRequest{PlanSpec: spec, Degraded: true})
 	if w.Code != http.StatusOK {
@@ -397,7 +397,7 @@ func TestHandlerPanicRecovered(t *testing.T) {
 
 // TestSolvePanicSharedWithFollowers pins the flight-leadership guard: a
 // compute that panics (here via the SolveEnter hook, which runs inside
-// the leadership but outside the shard closure) must surface as a
+// the leadership, on the held evaluator) must surface as a
 // 500/internal to the leader AND to any coalesced follower — never as
 // a follower's empty 200 from a nil/nil flight slot.
 func TestSolvePanicSharedWithFollowers(t *testing.T) {
@@ -669,8 +669,66 @@ func TestDrainDeadlineCancelsJobs(t *testing.T) {
 	}
 }
 
+// TestBatchItemJoiningQueuedPlanNoDeadlock: a batch item that
+// coalesces into an interactive plan's flight must not wait on a
+// leader that in turn waits for compute the batch holds. Item 0 is
+// gated inside its flight leadership, an interactive plan becomes the
+// leader of item 1's key meanwhile, then the gate opens and item 1
+// meets that flight. Both requests must finish.
+func TestBatchItemJoiningQueuedPlanNoDeadlock(t *testing.T) {
+	s := newTestServer(t, Config{Shards: 1, MaxQueue: 4})
+	doJSON(t, s, http.MethodPost, "/v1/platforms", UploadRequest{ID: "d", Platform: diamondText, Source: "S"})
+
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var items atomic.Int64
+	s.batchItemHook = func() {
+		if items.Add(1) == 1 {
+			close(entered)
+			<-gate
+		}
+	}
+	defer func() { s.batchItemHook = nil }()
+
+	batch := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		batch <- doJSON(t, s, http.MethodPost, "/v1/plan:batch", BatchRequest{
+			PlanSpec: PlanSpec{PlatformID: "d"},
+			Items:    []BatchItem{{PlanSpec{Targets: []string{"t1"}}}, {PlanSpec{Targets: []string{"t2"}}}},
+		})
+	}()
+	<-entered
+	plan := make(chan *httptest.ResponseRecorder, 1)
+	go func() { plan <- doJSON(t, s, http.MethodPost, "/v1/plan", planReq([]string{"t2"}, nil)) }()
+	// The plan leads t2's flight beside the gated t1 item (or has
+	// already finished) before the gate opens.
+	waitUntil(t, "the interactive plan to lead its flight", func() bool {
+		s.flight.mu.Lock()
+		defer s.flight.mu.Unlock()
+		return len(s.flight.inflight) == 2 || len(plan) == 1
+	})
+	close(gate)
+
+	timeout := time.After(10 * time.Second)
+	for _, c := range []struct {
+		name string
+		ch   chan *httptest.ResponseRecorder
+	}{{"batch", batch}, {"plan", plan}} {
+		select {
+		case w := <-c.ch:
+			if w.Code != http.StatusOK {
+				t.Errorf("%s: %d %s", c.name, w.Code, w.Body.String())
+			}
+			if strings.Contains(w.Body.String(), `"error"`) {
+				t.Errorf("%s carries an error: %s", c.name, w.Body.String())
+			}
+		case <-timeout:
+			t.Fatalf("%s still running after 10s: batch and plan deadlocked (%+v)", c.name, s.pool.limiterStats())
+		}
+	}
+}
+
 // TestBatchClientCancelStopsRemainingItems: a client abandoning a
-// batch mid-stream must not keep the shard lanes solving — items that
+// batch mid-stream must not keep evaluators solving — items that
 // have not computed yet drain as per-item "canceled" error lines.
 func TestBatchClientCancelStopsRemainingItems(t *testing.T) {
 	s := newTestServer(t, Config{Shards: 1})
@@ -853,7 +911,7 @@ func TestChaosStorm(t *testing.T) {
 
 	// The server under storm: tight enough admission limits that the
 	// injected stalls genuinely saturate it.
-	s := newTestServer(t, Config{Shards: 2, MaxConcurrent: 2, MaxQueue: 2})
+	s := newTestServer(t, Config{Shards: 2, MaxQueue: 2})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	client := ts.Client()

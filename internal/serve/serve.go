@@ -1,7 +1,7 @@
 // Package serve is the long-running planning daemon behind cmd/mcastd:
 // an HTTP/JSON service that answers Series-of-Multicasts plan requests
 // (platform, source, targets, requested bounds and heuristics) over a
-// sharded pool of steady.Evaluators.
+// pool of steady.Evaluators.
 //
 // The serving layers, front to back (DESIGN.md Section 9):
 //
@@ -17,18 +17,19 @@
 //     responses;
 //   - a singleflight coalescer: identical in-flight plan requests are
 //     computed once, followers receive the leader's response;
-//   - a sharded evaluator pool: N shards, each owning one
-//     steady.Evaluator (documented as not safe for concurrent use),
-//     with requests routed by problem-key hash so identical requests
-//     always land on the same shard while one hot platform's distinct
-//     requests spread across all shards.
+//   - an evaluator pool: a free list of N steady.Evaluators (documented
+//     as not safe for concurrent use). Taking an evaluator is
+//     admission: interactive plans wait in a bounded queue and are
+//     shed beyond it, and no goroutine that holds an evaluator ever
+//     waits on a flight, on the pool or on a client write.
 //
 // Every plan response is bit-identical to the serial library-call
 // sequence for the same request (bounds in canonical order, then the
 // requested heuristics in registry order, on one fresh evaluator) —
 // concurrency, caching and coalescing are never allowed to change a
-// byte of the answer. That is why shards Reset their evaluator between
-// requests instead of carrying pooled cuts across them; see
+// byte of the answer. That is why the pool Resets an evaluator every
+// time it hands one out instead of carrying pooled cuts across
+// requests; see
 // DESIGN.md Section 9.3 for the measured ULP-level divergence that
 // forbids cross-request pooling.
 package serve
@@ -40,8 +41,8 @@ import (
 
 // Config parameterises a Server.
 type Config struct {
-	// Shards is the number of evaluator shards; values < 1 mean
-	// runtime.GOMAXPROCS(0).
+	// Shards is the size of the evaluator pool — how many computations
+	// run at once; values < 1 mean runtime.GOMAXPROCS(0).
 	Shards int
 	// CacheSize is the plan cache capacity in responses. 0 means
 	// DefaultCacheSize; negative disables the plan cache (benchmarks
@@ -80,12 +81,10 @@ type Config struct {
 	// shorten its budget but never extend it past the operator's bound.
 	// 0 means DefaultMaxTimeout.
 	MaxTimeout time.Duration
-	// MaxConcurrent caps the computations (plan flights, batch and
-	// what-if fan-outs) running at once; see limiter. 0 means
-	// 2 x shards; negative disables admission control entirely.
-	MaxConcurrent int
-	// MaxQueue caps how many admissions may wait for a compute slot
-	// before overflow is shed with 429/saturated. 0 means 4 x shards.
+	// MaxQueue caps how many computations may wait for a pooled
+	// evaluator before interactive plans are shed with 429/saturated
+	// (and batch and what-if requests refused at arrival); see evalPool.
+	// 0 means DefaultMaxQueue.
 	MaxQueue int
 }
 
@@ -192,19 +191,15 @@ func (c Config) maxTimeout() time.Duration {
 	return c.MaxTimeout
 }
 
-func (c Config) maxConcurrent() int {
-	switch {
-	case c.MaxConcurrent < 0:
-		return 0 // disabled
-	case c.MaxConcurrent == 0:
-		return 2 * c.shards()
-	}
-	return c.MaxConcurrent
-}
+// DefaultMaxQueue is the evaluator wait-queue bound when
+// Config.MaxQueue is zero. It does not scale with the pool: a client
+// pool of up to 64 concurrent connections queues rather than sheds
+// even on a one-evaluator daemon.
+const DefaultMaxQueue = 64
 
 func (c Config) maxQueue() int {
 	if c.MaxQueue <= 0 {
-		return 4 * c.shards()
+		return DefaultMaxQueue
 	}
 	return c.MaxQueue
 }

@@ -219,12 +219,15 @@ func TestPlanCacheAndHeaders(t *testing.T) {
 	if got := w1.Header().Get(HeaderCache); got != "miss" {
 		t.Errorf("first request cache header %q, want miss", got)
 	}
-	if w1.Header().Get(HeaderShard) == "" {
-		t.Error("first request did not report its shard")
+	if !strings.HasPrefix(w1.Header().Get("Server-Timing"), "wait;dur=") {
+		t.Errorf("computed request Server-Timing %q, want a wait duration", w1.Header().Get("Server-Timing"))
 	}
 	w2 := doJSON(t, s, http.MethodPost, "/v1/plan", req)
 	if got := w2.Header().Get(HeaderCache); got != "hit" {
 		t.Errorf("second request cache header %q, want hit", got)
+	}
+	if got := w2.Header().Get("Server-Timing"); got != "" {
+		t.Errorf("cache hit carries Server-Timing %q", got)
 	}
 	if !bytes.Equal(w1.Body.Bytes(), w2.Body.Bytes()) {
 		t.Error("cached response body differs from computed body")
@@ -362,24 +365,6 @@ func TestPlanCacheLRU(t *testing.T) {
 	d.put(k(1), r(1))
 	if _, ok := d.get(k(1)); ok {
 		t.Error("disabled cache returned a hit")
-	}
-}
-
-func TestRouteHashSpreads(t *testing.T) {
-	pool := newShardPool(4)
-	seen := map[int]bool{}
-	for i := 0; i < 64; i++ {
-		key := planKey{fp: 12345, source: 0, targets: fmt.Sprintf("%d,%d", i, i+1)}
-		idx := int(key.routeHash() % uint64(len(pool.shards)))
-		seen[idx] = true
-	}
-	if len(seen) < 3 {
-		t.Errorf("64 distinct problems landed on only %d of 4 shards", len(seen))
-	}
-	// Identical keys always route identically.
-	k := planKey{fp: 9, source: 2, targets: "4,5"}
-	if k.routeHash() != k.routeHash() {
-		t.Error("routeHash is not deterministic")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,22 +19,22 @@ import (
 
 // Response headers carrying serving metadata. They live in headers —
 // not the body — so plan bodies stay byte-comparable across cache
-// hits, coalesced followers and fresh computations.
+// hits, coalesced followers and fresh computations. A plan this
+// request computed (HeaderCache: miss) also carries the standard
+// Server-Timing header, "wait;dur=<ms>": how long the computation
+// queued for a pooled evaluator.
 const (
 	// HeaderCache reports how the plan was served: "hit" (plan cache),
 	// "coalesced" (follower of an identical in-flight request) or
-	// "miss" (computed by a shard for this request).
+	// "miss" (computed for this request).
 	HeaderCache = "X-Mcastd-Cache"
-	// HeaderShard is the index of the shard that computed the plan
-	// (set only when this request executed, i.e. HeaderCache: miss).
-	HeaderShard = "X-Mcastd-Shard"
 	// HeaderVersion is the platform version a response was computed
-	// against (registered platforms only). Like the cache/shard headers
-	// it stays out of the body, so a version's plan bytes are directly
+	// against (registered platforms only). Like the cache header it
+	// stays out of the body, so a version's plan bytes are directly
 	// comparable to a cold solve of that version's snapshot.
 	HeaderVersion = "X-Mcastd-Version"
 	// HeaderDegraded marks a response answered by a degraded fallback
-	// under saturation instead of a full shard compute: "cache" (the
+	// under saturation instead of a full pooled compute: "cache" (the
 	// exact requested plan, from the plan cache) or "tree" (a
 	// bounds-only answer computed combinatorially on a tree platform,
 	// skipping the requested heuristics). Absent on every non-degraded
@@ -92,7 +93,9 @@ type EndpointStats struct {
 }
 
 // StatsResponse is the body of GET /v1/stats: cumulative solver
-// activity across all shards plus serving-layer counters.
+// activity across all pooled evaluators plus serving-layer counters.
+// Shards is the pool size and ShardServed the per-evaluator count of
+// computations served.
 type StatsResponse struct {
 	UptimeSeconds float64                  `json:"uptime_seconds"`
 	Platforms     int                      `json:"platforms"`
@@ -112,8 +115,7 @@ type StatsResponse struct {
 // ResilienceStats is the deadline/shedding/recovery section of
 // GET /v1/stats.
 type ResilienceStats struct {
-	// Limiter reports the admission-control state; zero-valued when
-	// admission control is disabled (MaxConcurrent < 0).
+	// Limiter reports the evaluator pool's admission state.
 	Limiter LimiterStats `json:"limiter"`
 	// Deadlines counts requests answered 503/deadline.
 	Deadlines int64 `json:"deadlines"`
@@ -127,12 +129,12 @@ type ResilienceStats struct {
 }
 
 // Server is the planning daemon: an http.Handler wiring the platform
-// registry, the plan cache, the coalescer and the evaluator shard
-// pool. Construct with New; the zero value is not usable.
+// registry, the plan cache, the coalescer and the evaluator pool.
+// Construct with New; the zero value is not usable.
 type Server struct {
 	cfg    Config
 	reg    *registry
-	pool   *shardPool
+	pool   *evalPool
 	cache  *planCache
 	flight *flightGroup
 	jobs   *jobStore
@@ -140,22 +142,14 @@ type Server struct {
 	mux    *http.ServeMux
 	start  time.Time
 
-	// limit is the compute admission gate (nil when MaxConcurrent < 0
-	// disabled it). draining flips /readyz unready and is set by Drain.
-	limit        *limiter
+	// draining flips /readyz unready and is set by Drain.
 	draining     atomic.Bool
 	deadlineHits atomic.Int64
 	degraded     atomic.Int64
 	panics       atomic.Int64
 
-	// batchLane rotates the starting lane of batch fan-outs so
-	// concurrent batches spread over the pool instead of piling onto
-	// lane 0. The lane choice never affects response bytes (every lane's
-	// evaluator is Reset before use), only load spreading.
-	batchLane atomic.Int64
-
 	// batchItemHook, when set, runs inside every batch item's flight
-	// leadership, before the item acquires its shard lane. Tests use it
+	// leadership, before the item takes a pooled evaluator. Tests use it
 	// to gate batch compute mid-flight (cancellation and coalescing
 	// regressions); nil in production.
 	batchItemHook func()
@@ -178,7 +172,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		reg:       newRegistry(cfg.versionHistory(), cfg.mutationLog()),
-		pool:      newShardPool(cfg.shards()),
+		pool:      newEvalPool(cfg.shards(), cfg.maxQueue()),
 		cache:     newPlanCache(cfg.cacheSize()),
 		flight:    newFlightGroup(),
 		jobs:      newJobStore(cfg.maxJobs(), cfg.maxJobItems(), cfg.jobTTL()),
@@ -186,9 +180,6 @@ func New(cfg Config) *Server {
 		mux:       http.NewServeMux(),
 		start:     time.Now(),
 		endpoints: make(map[string]*endpointAccum),
-	}
-	if mc := cfg.maxConcurrent(); mc > 0 {
-		s.limit = newLimiter(mc, cfg.maxQueue())
 	}
 	s.route("GET /healthz", s.handleHealthz)
 	s.route("GET /readyz", s.handleReadyz)
@@ -210,8 +201,8 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Shards reports the number of evaluator shards.
-func (s *Server) Shards() int { return len(s.pool.shards) }
+// Shards reports the size of the evaluator pool.
+func (s *Server) Shards() int { return len(s.pool.all) }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -223,10 +214,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // handler from taking down the daemon: a panic is converted into the
 // 500/internal v1 envelope when the response has not started, or into
 // an aborted stream when it has (the client sees a truncated body, the
-// next request sees a healthy server). Shard state survives because
-// every shard Resets its evaluator per request and every LP solve
-// recompiles from scratch — there is no cross-request solver state a
-// mid-solve panic could poison.
+// next request sees a healthy server). Pooled evaluators survive
+// because the pool Resets one every time it hands it out and every LP
+// solve recompiles from scratch — there is no cross-request solver
+// state a mid-solve panic could poison.
 func (s *Server) route(pattern string, h http.HandlerFunc) {
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
@@ -431,7 +422,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := StatsResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Platforms:     s.reg.len(),
-		Shards:        len(s.pool.shards),
+		Shards:        len(s.pool.all),
 		ShardServed:   served,
 		Solver:        solver,
 		PlanCache:     s.cache.stats(),
@@ -439,9 +430,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Endpoints:     make(map[string]EndpointStats),
 	}
 	resp.Jobs = s.jobs.stats()
-	if s.limit != nil {
-		resp.Resilience.Limiter = s.limit.stats()
-	}
+	resp.Resilience.Limiter = s.pool.limiterStats()
 	resp.Resilience.Deadlines = s.deadlineHits.Load()
 	resp.Resilience.Degraded = s.degraded.Load()
 	resp.Resilience.Panics = s.panics.Load()
@@ -482,11 +471,14 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMillis)
 	defer cancel()
-	resp, how, shardIdx, err := s.planResolved(ctx, res, req.NoCache, req.Degraded)
+	resp, how, wait, err := s.planResolved(ctx, res, req.NoCache, req.Degraded)
 	if err != nil {
 		s.countDeadline(err)
 		writeError(w, err)
 		return
+	}
+	if how == "miss" {
+		w.Header().Set("Server-Timing", "wait;dur="+strconv.FormatFloat(float64(wait)/1e6, 'f', 3, 64))
 	}
 	if deg, ok := strings.CutPrefix(how, "degraded-"); ok {
 		s.degraded.Add(1)
@@ -498,9 +490,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set(HeaderCache, how)
-	if shardIdx >= 0 {
-		w.Header().Set(HeaderShard, fmt.Sprintf("%d", shardIdx))
-	}
 	if res.version > 0 {
 		w.Header().Set(HeaderVersion, fmt.Sprintf("%d", res.version))
 	}
@@ -525,77 +514,42 @@ func (s *Server) countDeadline(err error) {
 	}
 }
 
-// Plan resolves and executes one plan request through the full serving
-// stack (registry, cache, coalescer, shard pool). It returns the
-// response, how it was served ("hit", "coalesced" or "miss") and the
-// executing shard index (-1 unless this call computed the plan).
-// It is the library entry point behind POST /v1/plan; the request's
-// TimeoutMillis is honoured (Degraded too), the caller's context is
-// the background one.
-func (s *Server) Plan(req *PlanRequest) (*PlanResponse, string, int, error) {
-	res, err := s.resolve(&req.PlanSpec)
-	if err != nil {
-		return nil, "", -1, err
-	}
-	ctx, cancel := s.requestContext(context.Background(), req.TimeoutMillis)
-	defer cancel()
-	return s.planResolved(ctx, res, req.NoCache, req.Degraded)
-}
-
 // planResolved executes an already-resolved spec through the cache,
-// coalescer and shard pool — the shared back half of handlePlan, Plan
+// coalescer and evaluator pool — the shared back half of handlePlan
 // and the subscription loops (which resolve per version themselves to
-// stamp responses with the version they computed against).
+// stamp responses with the version they computed against). wait is
+// how long the computation queued for an evaluator; it is meaningful
+// only when how is "miss".
 //
-// ctx bounds the compute: its cancellation is armed as the evaluator's
-// stop flag while the shard solves, so a deadline stops the simplex
-// mid-iteration, not merely between solves. A compute abandoned by
-// ctx returns ctx's error (which coalesced followers do not inherit —
-// they re-run; see flightGroup.do).
+// A plan leader is an interactive admission: it waits in the pool's
+// bounded queue and is shed with 429/saturated beyond it. ctx bounds
+// the compute: its cancellation is armed as the evaluator's stop flag
+// while it solves, so a deadline stops the simplex mid-iteration, not
+// merely between solves. A compute abandoned by ctx or shed at
+// admission returns an error private to its own request, which
+// coalesced followers do not inherit — they re-run; see
+// flightGroup.do.
 //
 // degraded allows the saturation fallbacks when admission is refused:
 // answer from the plan cache (the exact requested plan, how
 // "degraded-cache"), or — on a tree-classified platform — a
 // bounds-only combinatorial answer on a private evaluator, skipping
-// the heuristics and the shard pool entirely (how "degraded-tree").
+// the heuristics and the evaluator pool entirely (how "degraded-tree").
 // Degraded answers are never cached and never coalesced: the tree
 // fallback's body is NOT the requested plan's body, and must never be
 // served to a caller that did not opt in.
-func (s *Server) planResolved(ctx context.Context, res *resolved, noCache, degraded bool) (*PlanResponse, string, int, error) {
+func (s *Server) planResolved(ctx context.Context, res *resolved, noCache, degraded bool) (*PlanResponse, string, time.Duration, error) {
 	key := res.key()
-	// execIdx records the shard this call computed on; it stays -1 for
-	// cache hits and coalesced followers (whose leader has its own
-	// Plan frame and execIdx).
-	execIdx := -1
+	// wait is set by this call's own compute; cache hits and coalesced
+	// followers never queued.
+	var wait time.Duration
 	compute := func() (resp *PlanResponse, err error) {
 		// Guard the whole leadership, hooks included: a panic escaping a
 		// flight leader wakes its followers with a nil response AND a nil
 		// error, which would serve as an empty 200.
 		defer disarmPanic(&err)
-		if s.limit != nil {
-			if err := s.limit.acquire(ctx); err != nil {
-				return nil, err
-			}
-			defer s.limit.release()
-		}
-		if err := faultinject.SolveEnter(ctx); err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		idx, err := s.pool.run(key, func(ev *steady.Evaluator) (err error) {
-			defer disarmPanic(&err)
-			defer armStop(ctx, ev)()
-			resp, err = executeResolved(ev, res)
-			return err
-		})
-		if err != nil {
-			return nil, ctxSolveErr(ctx, err)
-		}
-		execIdx = idx
-		s.cache.put(key, resp)
-		return resp, nil
+		resp, wait, err = s.computePlan(ctx, res, true)
+		return resp, err
 	}
 
 	resp, how, err := func() (*PlanResponse, string, error) {
@@ -608,28 +562,48 @@ func (s *Server) planResolved(ctx context.Context, res *resolved, noCache, degra
 		}
 		resp, err, shared := s.flight.do(key, compute)
 		if shared {
-			how := "coalesced"
-			if isSaturated(err) {
-				// A follower sharing its leader's saturation verdict was
-				// never admitted itself; it may still degrade below.
-				how = ""
-			}
-			return resp, how, err
+			return resp, "coalesced", err
 		}
 		return resp, "miss", err
 	}()
 	if err == nil {
-		return resp, how, execIdx, nil
+		return resp, how, wait, nil
 	}
 	if degraded && isSaturated(err) {
 		if resp, ok := s.cache.get(key); ok {
-			return resp, "degraded-cache", -1, nil
+			return resp, "degraded-cache", 0, nil
 		}
 		if resp, ok := s.degradedTreePlan(res); ok {
-			return resp, "degraded-tree", -1, nil
+			return resp, "degraded-tree", 0, nil
 		}
 	}
-	return nil, "", -1, err
+	return nil, "", 0, err
+}
+
+// computePlan computes res on a pooled evaluator and caches the
+// response. interactive selects the pool's bounded, shedding admission
+// (plan and replan leaders); batch and job items pass false and wait
+// for an evaluator until ctx ends. It is called only inside a flight
+// leader's compute (or for no_cache requests, which never coalesce), so
+// the evaluator is held by a goroutine that waits on nothing else.
+func (s *Server) computePlan(ctx context.Context, res *resolved, interactive bool) (resp *PlanResponse, wait time.Duration, err error) {
+	wait, err = s.pool.run(ctx, interactive, func(ev *steady.Evaluator) (err error) {
+		defer disarmPanic(&err)
+		if err := faultinject.SolveEnter(ctx); err != nil {
+			return err
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		defer armStop(ctx, ev)()
+		resp, err = executeResolved(ev, res)
+		return err
+	})
+	if err != nil {
+		return nil, wait, ctxSolveErr(ctx, err)
+	}
+	s.cache.put(res.key(), resp)
+	return resp, wait, nil
 }
 
 // degradedTreePlan is the saturation fallback for tree platforms: the

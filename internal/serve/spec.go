@@ -86,7 +86,7 @@ type resolved struct {
 }
 
 // key builds the plan identity this resolution computes under — the
-// cache, coalescer and shard-router key.
+// cache and coalescer key.
 func (r *resolved) key() planKey {
 	return planKey{
 		id:      r.id,

@@ -160,7 +160,7 @@ func (h *hub) count() int {
 
 // liveCompute builds the compute closure of one subscription spec. It
 // resolves the spec against the platform's *current* snapshot and runs
-// the canonical serving path — cache, coalescer, shard pool, Reset
+// the canonical serving path — cache, coalescer, evaluator pool, Reset
 // evaluator — so the streamed plan bytes are bit-identical to an
 // interactive POST /v1/plan against the same version, and (by the
 // serving determinism contract) to a cold solve of that snapshot. This

@@ -56,8 +56,8 @@ type WhatifEdge struct {
 // scenarios by edge ID with factors in request order, promotions in
 // candidate order), and a final "summary" line. Like PlanResponse, the
 // full line sequence is a pure function of the request and the
-// platform content: the concurrent shard fan-out is bit-identical to
-// the serial single-evaluator scenario loop.
+// platform content: the concurrent fan-out is bit-identical to the
+// serial single-evaluator scenario loop.
 type WhatifLine struct {
 	Kind string `json:"kind"`
 
@@ -239,11 +239,12 @@ func whatifSummaryLine(g *graph.Graph, rep *whatif.Report) WhatifLine {
 	return line
 }
 
-// handleWhatif is POST /v1/whatif: baseline on the routed shard, then
-// the scenario family fanned out over the shard lanes on evaluator
-// clones, streamed as NDJSON in the deterministic enumeration order
-// (results are emitted as soon as they and all their predecessors are
-// done), with a final summary line.
+// handleWhatif is POST /v1/whatif: baseline on a pooled evaluator,
+// then the scenario family fanned out over up to min(pool size,
+// scenarios) pooled evaluators' worth of workers on evaluator clones,
+// streamed as NDJSON in the deterministic enumeration order (results
+// are emitted as soon as they and all their predecessors are done),
+// with a final summary line.
 func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	var req WhatifRequest
 	if err := decodeBody(w, r, 2*s.cfg.maxPlatformBytes()+(1<<16), &req); err != nil {
@@ -266,27 +267,19 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMillis)
 	defer cancel()
-	// One admission slot covers the baseline and the whole scenario
-	// fan-out (per-scenario admission would deadlock the shard lanes
-	// this request already occupies).
-	if s.limit != nil {
-		if err := s.limit.acquire(ctx); err != nil {
-			s.countDeadline(err)
-			writeError(w, err)
-			return
-		}
-		defer s.limit.release()
-	}
-	p := res.p
-	key := res.key()
-	var base *whatif.Baseline
-	if err := faultinject.SolveEnter(ctx); err != nil {
-		s.countDeadline(err)
+	// Admission is decided once, at arrival; the baseline and the
+	// scenario workers then wait for evaluators and are never shed.
+	if err := s.pool.admitBulk(); err != nil {
 		writeError(w, err)
 		return
 	}
-	if _, err := s.pool.run(key, func(ev *steady.Evaluator) (err error) {
+	p := res.p
+	var base *whatif.Baseline
+	if _, err := s.pool.run(ctx, false, func(ev *steady.Evaluator) (err error) {
 		defer disarmPanic(&err)
+		if err := faultinject.SolveEnter(ctx); err != nil {
+			return err
+		}
 		defer armStop(ctx, ev)()
 		base, err = whatif.NewBaseline(ev, p)
 		return err
@@ -309,13 +302,16 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	}
 	emit(whatifBaselineLine(res.id, res.fp, base, len(scenarios)))
 
-	// Fan the scenarios over the shard lanes, starting at the shard the
-	// baseline routed to. Every scenario runs on its own clone of the
-	// baseline evaluator over a worker-private platform copy, so the
-	// results — and therefore the streamed bytes — cannot depend on
-	// scheduling. If the client hangs up mid-stream the remaining
-	// scenarios are drained as canceled instead of solved, so a dead
-	// request does not hold the shard lanes against live plan traffic
+	// Fan the scenarios out over workers that each hold one pooled
+	// evaluator for their whole loop — the pool is the concurrency
+	// budget scenario work shares with plan traffic. Every scenario runs
+	// on its own clone of the baseline evaluator over a worker-private
+	// platform copy, so the results — and therefore the streamed bytes —
+	// cannot depend on scheduling. Workers never wait on a flight or on
+	// the client (ready is buffered for every scenario; only this
+	// handler goroutine writes). If the client hangs up mid-stream the
+	// remaining scenarios are drained as canceled instead of solved, so
+	// a dead request does not hold evaluators against live plan traffic
 	// (cancellation never changes the bytes of a body that is actually
 	// delivered — a canceled request has no reader).
 	// One request-level stop flag, armed on the deadline-bounded ctx and
@@ -327,52 +323,55 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	results := make([]whatif.Result, len(scenarios))
 	ready := make(chan int, len(scenarios))
 	var (
-		next       atomic.Int64
-		statsMu    sync.Mutex
-		scenStats  steady.SolveStats
-		fastScen   int
-		wg         sync.WaitGroup
-		startShard = int(key.routeHash() % uint64(len(s.pool.shards)))
+		next      atomic.Int64
+		statsMu   sync.Mutex
+		scenStats steady.SolveStats
+		fastScen  int
+		wg        sync.WaitGroup
 	)
-	workers := len(s.pool.shards)
-	if workers > len(scenarios) {
-		workers = len(scenarios)
+	scenarioLoop := func() {
+		g := res.g.Clone()
+		var local steady.SolveStats
+		localFast := 0
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(scenarios) {
+				break
+			}
+			if err := ctx.Err(); err != nil {
+				results[i] = whatif.Result{Scenario: scenarios[i], Err: err}
+				ready <- i
+				continue
+			}
+			sev := base.Ev.Clone()
+			sev.SetStop(&stop)
+			results[i] = whatif.Eval(base, sev, g, scenarios[i])
+			// The clone is scenario-private, so a nonzero hit count
+			// attributes the fast path to exactly this scenario.
+			if sev.Stats().FastPathHits > 0 {
+				localFast++
+			}
+			local.Add(sev.Stats())
+			ready <- i
+		}
+		statsMu.Lock()
+		scenStats.Add(local)
+		fastScen += localFast
+		statsMu.Unlock()
 	}
-	for i := 0; i < workers; i++ {
+	for i := 0; i < min(s.Shards(), len(scenarios)); i++ {
 		wg.Add(1)
-		go func(shardIdx int) {
+		go func() {
 			defer wg.Done()
-			s.pool.runOn(shardIdx, func() {
-				g := res.g.Clone()
-				var local steady.SolveStats
-				localFast := 0
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(scenarios) {
-						break
-					}
-					if err := ctx.Err(); err != nil {
-						results[i] = whatif.Result{Scenario: scenarios[i], Err: err}
-						ready <- i
-						continue
-					}
-					sev := base.Ev.Clone()
-					sev.SetStop(&stop)
-					results[i] = whatif.Eval(base, sev, g, scenarios[i])
-					// The clone is scenario-private, so a nonzero hit count
-					// attributes the fast path to exactly this scenario.
-					if sev.Stats().FastPathHits > 0 {
-						localFast++
-					}
-					local.Add(sev.Stats())
-					ready <- i
-				}
-				statsMu.Lock()
-				scenStats.Add(local)
-				fastScen += localFast
-				statsMu.Unlock()
-			})
-		}((startShard + i) % len(s.pool.shards))
+			if _, err := s.pool.run(ctx, false, func(*steady.Evaluator) error {
+				scenarioLoop()
+				return nil
+			}); err != nil {
+				// ctx ended while this worker waited for an evaluator: the
+				// loop now only drains unclaimed scenarios as ctx errors.
+				scenarioLoop()
+			}
+		}()
 	}
 
 	// Stream in order: emit scenario i once it and every predecessor

@@ -16,7 +16,7 @@ import (
 // expectedWhatifBody builds the serial single-evaluator reference for
 // a what-if request: baseline on a fresh evaluator, then every
 // scenario in enumeration order on a clone of the baseline evaluator
-// over a private platform copy — exactly what the handler's shard
+// over a private platform copy — exactly what the handler's pooled
 // fan-out must reproduce byte for byte.
 func expectedWhatifBody(t *testing.T, s *Server, req *WhatifRequest) []byte {
 	t.Helper()
@@ -166,7 +166,7 @@ func TestWhatifScenarioSubsets(t *testing.T) {
 
 // TestConcurrentWhatifBitIdenticalToSerial is the /v1/whatif extension
 // of the plan determinism test: 8 goroutines hammer the endpoint with
-// a mix of what-if requests while plan traffic shares the shard lanes,
+// a mix of what-if requests while plan traffic shares the evaluator pool,
 // and every streamed NDJSON body must be byte-identical to the serial
 // single-evaluator scenario loop.
 func TestConcurrentWhatifBitIdenticalToSerial(t *testing.T) {
@@ -216,7 +216,7 @@ func TestConcurrentWhatifBitIdenticalToSerial(t *testing.T) {
 				if !bytes.Equal(w.Body.Bytes(), expected[i]) {
 					errs <- "whatif response diverged from the serial reference"
 				}
-				// Interleave plan traffic on the same shard lanes.
+				// Interleave plan traffic on the same evaluator pool.
 				pw := httptest.NewRecorder()
 				s.ServeHTTP(pw, httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(planReq)))
 				if pw.Code != http.StatusOK {
@@ -250,7 +250,7 @@ edge a d 4
 // TestWhatifTreeFastPathStats drives /v1/whatif and /v1/plan on a tree
 // platform and checks the fast-path accounting end to end: the summary
 // line's fast_path_scenarios, the what-if section of /v1/stats, and
-// the shard solver section's FastPathHits.
+// the pool's solver section's FastPathHits.
 func TestWhatifTreeFastPathStats(t *testing.T) {
 	s := newTestServer(t, Config{Shards: 2})
 	doJSON(t, s, http.MethodPost, "/v1/platforms", UploadRequest{ID: "tr", Platform: treeText, Source: "S"})
@@ -282,7 +282,7 @@ func TestWhatifTreeFastPathStats(t *testing.T) {
 	}
 
 	// A bounds-only plan on the same platform lands its fast-path hits
-	// in the shard solver section.
+	// in the pool's solver section.
 	pw := doJSON(t, s, http.MethodPost, "/v1/plan", PlanRequest{PlanSpec: PlanSpec{PlatformID: "tr", Targets: []string{"c", "d"}, Bounds: []string{"lb", "scatter"}, Heuristics: []string{}}, NoCache: true})
 	if pw.Code != http.StatusOK {
 		t.Fatalf("plan: %d %s", pw.Code, pw.Body.String())

@@ -182,7 +182,7 @@ func NewEvaluator() *Evaluator {
 // pooled cuts and the pooled path columns — while retaining the LP
 // workspace (and its allocated scratch memory) and the cumulative
 // statistics. After a Reset the evaluator computes exactly what a fresh
-// NewEvaluator() would, which is what lets a serving shard reuse one
+// NewEvaluator() would, which is what lets the serving pool reuse one
 // evaluator across requests and still answer every request bit-identically
 // to a cold library call (see internal/serve).
 func (e *Evaluator) Reset() {
@@ -193,8 +193,8 @@ func (e *Evaluator) Reset() {
 	clear(e.pathSeen)
 	// Classification is content-derived and deterministic, so keeping
 	// the memo would be correct; dropping it releases the graph the
-	// classifier pins, which matters for serving shards that outlive
-	// the platforms they planned for.
+	// classifier pins, which matters for pooled serving evaluators that
+	// outlive the platforms they planned for.
 	e.classifier.Invalidate()
 }
 
@@ -278,8 +278,7 @@ func (e *Evaluator) Stats() SolveStats {
 // edge disable mask. Two
 // graphs with equal fingerprints are interchangeable for every program
 // in this package, which is what the evaluator's result cache — and the
-// serving layer's platform registry, plan cache and shard router — key
-// on.
+// serving layer's platform registry and plan cache — key on.
 func Fingerprint(g *graph.Graph) uint64 { return fingerprintGraph(g) }
 
 // fingerprintGraph hashes the platform content an LP bound depends on:

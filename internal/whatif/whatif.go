@@ -127,7 +127,7 @@ func (c Config) workers() int {
 // against. It owns a private evaluator snapshot taken after the
 // baseline solves, so clones of Ev inherit the pooled cuts and path
 // columns whatever happens to the evaluator the baseline was computed
-// on (serving shards Reset theirs between requests).
+// on (the serving pool Resets its evaluators between requests).
 type Baseline struct {
 	Problem steady.Problem
 	// LB is the Multicast-LB bound, the throughput reference of node
