@@ -12,7 +12,8 @@
 // -shards sizes the evaluator pool: how many computations run at once.
 // Plan requests beyond it wait in a queue of -max-queue seats and are
 // shed with 429/saturated past that; batch and what-if requests are
-// refused at arrival while the queue is full.
+// refused at arrival while the queue is full. Admitted batch, job and
+// what-if items wait for evaluators outside that queue.
 //
 // Endpoints:
 //
@@ -71,7 +72,7 @@ func main() {
 		maxJobs   = flag.Int("max-jobs", 0, "max unfinished async jobs before 429 (0 = default)")
 		jobTTL    = flag.Duration("job-ttl", 0, "how long finished job results stay retrievable (0 = default)")
 		defTO     = flag.Duration("default-timeout", 0, "per-request compute deadline when the request sets no timeout_ms (0 = none)")
-		maxQueue  = flag.Int("max-queue", 0, "max computations waiting for an evaluator before 429/saturated (0 = default)")
+		maxQueue  = flag.Int("max-queue", 0, "max plan computations waiting for an evaluator before 429/saturated (0 = default)")
 	)
 	flag.Parse()
 

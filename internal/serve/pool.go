@@ -31,15 +31,19 @@ import (
 // maxQueue and are shed beyond it with 429/saturated; bulk computations
 // (batch and job items, what-if work) were admitted as whole requests
 // and wait for an evaluator without a bound, stopped only by their
-// context.
+// context. Bulk waiters are counted apart and never count toward the
+// shed bound or saturation, so background work admitted once cannot
+// fill the interactive queue.
 type evalPool struct {
 	free     chan *pooledEval
 	all      []*pooledEval
 	maxQueue int64
-	// queued counts computations waiting for an evaluator; shed counts
-	// admissions refused with 429/saturated.
-	queued atomic.Int64
-	shed   atomic.Int64
+	// queued counts interactive computations waiting for an evaluator,
+	// bulkQueued bulk ones; shed counts admissions refused with
+	// 429/saturated.
+	queued     atomic.Int64
+	bulkQueued atomic.Int64
+	shed       atomic.Int64
 
 	mu sync.Mutex // guards every pooledEval's served and stats
 }
@@ -62,34 +66,58 @@ func newEvalPool(n, maxQueue int) *evalPool {
 	return p
 }
 
-// run executes fn on a freshly Reset pooled evaluator and returns it to
-// the pool afterwards, even if fn panics. wait is how long the call
-// queued for the evaluator. An interactive call is shed with the
-// saturated apiError when maxQueue computations already wait; any
-// caller whose ctx ends in the queue returns ctx's error without ever
-// holding an evaluator.
-func (p *evalPool) run(ctx context.Context, interactive bool, fn func(ev *steady.Evaluator) error) (wait time.Duration, err error) {
+// take hands out an evaluator as is; wait is how long the call queued
+// for it. An interactive call is shed with the saturated apiError when
+// maxQueue interactive computations already wait; any caller whose ctx
+// ends in the queue returns ctx's error without ever holding an
+// evaluator.
+func (p *evalPool) take(ctx context.Context, interactive bool) (e *pooledEval, wait time.Duration, err error) {
 	start := time.Now()
-	var e *pooledEval
 	select {
 	case e = <-p.free:
+		return e, time.Since(start), nil
 	default:
-		if p.queued.Add(1) > p.maxQueue && interactive {
-			p.queued.Add(-1)
-			return 0, p.refuse()
-		}
-		select {
-		case e = <-p.free:
-			p.queued.Add(-1)
-		case <-ctx.Done():
-			p.queued.Add(-1)
-			return 0, ctx.Err()
-		}
 	}
-	wait = time.Since(start)
+	if interactive {
+		if p.queued.Add(1) > p.maxQueue {
+			p.queued.Add(-1)
+			return nil, 0, p.refuse()
+		}
+		defer p.queued.Add(-1)
+	} else {
+		p.bulkQueued.Add(1)
+		defer p.bulkQueued.Add(-1)
+	}
+	select {
+	case e = <-p.free:
+		return e, time.Since(start), nil
+	case <-ctx.Done():
+		return nil, 0, ctx.Err()
+	}
+}
+
+// run executes fn on a freshly Reset pooled evaluator and returns it to
+// the pool afterwards, even if fn panics; admission is take's.
+func (p *evalPool) run(ctx context.Context, interactive bool, fn func(ev *steady.Evaluator) error) (wait time.Duration, err error) {
+	e, wait, err := p.take(ctx, interactive)
+	if err != nil {
+		return 0, err
+	}
 	defer p.put(e)
 	e.ev.Reset()
 	return wait, fn(e.ev)
+}
+
+// hold takes an evaluator as a bare concurrency token, for bulk work
+// that computes on evaluators of its own (what-if scenario workers
+// solve on clones of the baseline's). The held evaluator is neither
+// Reset nor counted as served; release returns it to the pool.
+func (p *evalPool) hold(ctx context.Context) (release func(), err error) {
+	e, _, err := p.take(ctx, false)
+	if err != nil {
+		return nil, err
+	}
+	return func() { p.free <- e }, nil
 }
 
 func (p *evalPool) put(e *pooledEval) {
@@ -113,13 +141,13 @@ func (p *evalPool) admitBulk() error {
 
 func (p *evalPool) refuse() error {
 	p.shed.Add(1)
-	return saturated(1, "server is saturated: %d computations in flight, %d queued (queue limit %d)",
+	return saturated(1, "server is saturated: %d computations in flight, %d interactive queued (queue limit %d)",
 		cap(p.free)-len(p.free), p.queued.Load(), p.maxQueue)
 }
 
-// saturatedNow reports whether every evaluator is busy and the wait
-// queue is full — the /readyz signal to stop routing traffic here
-// before it turns into hard 429s.
+// saturatedNow reports whether every evaluator is busy and the
+// interactive wait queue is full — the /readyz signal to stop routing
+// traffic here before it turns into hard 429s.
 func (p *evalPool) saturatedNow() bool {
 	return len(p.free) == 0 && p.queued.Load() >= p.maxQueue
 }
@@ -140,7 +168,9 @@ func (p *evalPool) stats() (steady.SolveStats, []int64) {
 
 // LimiterStats is the admission-control section of /v1/stats (named
 // for its wire key): MaxConcurrent is the pool size, InFlight the
-// evaluators handed out, Queued the computations waiting for one.
+// evaluators handed out, Queued the computations waiting for one
+// (interactive and bulk; only interactive waiters count toward
+// MaxQueue).
 type LimiterStats struct {
 	MaxConcurrent int   `json:"max_concurrent"`
 	MaxQueue      int   `json:"max_queue"`
@@ -154,7 +184,7 @@ func (p *evalPool) limiterStats() LimiterStats {
 		MaxConcurrent: cap(p.free),
 		MaxQueue:      int(p.maxQueue),
 		InFlight:      cap(p.free) - len(p.free),
-		Queued:        p.queued.Load(),
+		Queued:        p.queued.Load() + p.bulkQueued.Load(),
 		Shed:          p.shed.Load(),
 	}
 }

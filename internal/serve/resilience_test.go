@@ -727,6 +727,63 @@ func TestBatchItemJoiningQueuedPlanNoDeadlock(t *testing.T) {
 	}
 }
 
+// TestBulkWaitersDoNotShedInteractive: batch and job items waiting for
+// an evaluator were admitted as whole requests, so they must not fill
+// the interactive queue. With the one evaluator wedged under a batch
+// item and bulk items of a job and a second batch waiting behind it,
+// the server stays ready and an interactive plan queues instead of
+// being shed; once the gate opens everything finishes cleanly.
+func TestBulkWaitersDoNotShedInteractive(t *testing.T) {
+	gate := newSolveGate()
+	faultinject.Set(&faultinject.Hooks{SolveEnter: gate.hook})
+	defer faultinject.Set(nil)
+
+	s := newTestServer(t, Config{Shards: 1, MaxQueue: 1})
+	doJSON(t, s, http.MethodPost, "/v1/platforms", UploadRequest{ID: "d", Platform: diamondText, Source: "S"})
+	batchReq := func(targets ...string) BatchRequest {
+		return BatchRequest{
+			PlanSpec: PlanSpec{PlatformID: "d"},
+			Items:    []BatchItem{{PlanSpec{Targets: targets}}, {PlanSpec{Targets: []string{"t1", "t2"}}}},
+			NoCache:  true,
+		}
+	}
+	queued := func(n int64) func() bool {
+		return func() bool { return s.pool.limiterStats().Queued == n }
+	}
+
+	results := make(chan *httptest.ResponseRecorder, 3)
+	go func() { results <- doJSON(t, s, http.MethodPost, "/v1/plan:batch", batchReq("t1")) }()
+	<-gate.entered
+
+	job := submitJob(t, s, batchReq("t2"))
+	waitUntil(t, "the job's item to queue", queued(1))
+	if w := doJSON(t, s, http.MethodGet, "/readyz", nil); w.Code != http.StatusOK {
+		t.Errorf("readyz with only bulk waiters: got %d %s, want 200", w.Code, w.Body.String())
+	}
+	go func() { results <- doJSON(t, s, http.MethodPost, "/v1/plan:batch", batchReq("t1")) }()
+	waitUntil(t, "the second batch's item to queue", queued(2))
+	go func() {
+		results <- doJSON(t, s, http.MethodPost, "/v1/plan", planReq([]string{"t2"}, func(r *PlanRequest) { r.NoCache = true }))
+	}()
+	waitUntil(t, "the interactive plan to queue", queued(3))
+
+	close(gate.release)
+	for i := 0; i < 3; i++ {
+		w := <-results
+		if w.Code != http.StatusOK {
+			t.Errorf("request %d: got %d %s, want 200", i, w.Code, w.Body.String())
+		} else if strings.Contains(w.Body.String(), `"error"`) {
+			t.Errorf("request %d carries an error: %s", i, w.Body.String())
+		}
+	}
+	if st := pollJob(t, s, job.ID); st.State != JobDone || st.Failed != 0 {
+		t.Errorf("job finished %+v, want done without failures", st)
+	}
+	if st := s.pool.limiterStats(); st.Shed != 0 {
+		t.Errorf("shed = %d, want 0", st.Shed)
+	}
+}
+
 // TestBatchClientCancelStopsRemainingItems: a client abandoning a
 // batch mid-stream must not keep evaluators solving — items that
 // have not computed yet drain as per-item "canceled" error lines.

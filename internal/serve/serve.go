@@ -81,9 +81,11 @@ type Config struct {
 	// shorten its budget but never extend it past the operator's bound.
 	// 0 means DefaultMaxTimeout.
 	MaxTimeout time.Duration
-	// MaxQueue caps how many computations may wait for a pooled
-	// evaluator before interactive plans are shed with 429/saturated
-	// (and batch and what-if requests refused at arrival); see evalPool.
+	// MaxQueue caps how many interactive plan computations may wait for
+	// a pooled evaluator before further ones are shed with
+	// 429/saturated (and batch and what-if requests refused at
+	// arrival). Admitted batch, job and what-if work waits outside this
+	// bound; see evalPool.
 	// 0 means DefaultMaxQueue.
 	MaxQueue int
 }

@@ -95,7 +95,7 @@ type EndpointStats struct {
 // StatsResponse is the body of GET /v1/stats: cumulative solver
 // activity across all pooled evaluators plus serving-layer counters.
 // Shards is the pool size and ShardServed the per-evaluator count of
-// computations served.
+// computations served (a what-if worker's token hold is not one).
 type StatsResponse struct {
 	UptimeSeconds float64                  `json:"uptime_seconds"`
 	Platforms     int                      `json:"platforms"`

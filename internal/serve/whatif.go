@@ -303,8 +303,8 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	emit(whatifBaselineLine(res.id, res.fp, base, len(scenarios)))
 
 	// Fan the scenarios out over workers that each hold one pooled
-	// evaluator for their whole loop — the pool is the concurrency
-	// budget scenario work shares with plan traffic. Every scenario runs
+	// evaluator for their whole loop, as a token only — the pool is the
+	// concurrency budget scenario work shares with plan traffic. Every scenario runs
 	// on its own clone of the baseline evaluator over a worker-private
 	// platform copy, so the results — and therefore the streamed bytes —
 	// cannot depend on scheduling. Workers never wait on a flight or on
@@ -329,48 +329,44 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		fastScen  int
 		wg        sync.WaitGroup
 	)
-	scenarioLoop := func() {
-		g := res.g.Clone()
-		var local steady.SolveStats
-		localFast := 0
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(scenarios) {
-				break
-			}
-			if err := ctx.Err(); err != nil {
-				results[i] = whatif.Result{Scenario: scenarios[i], Err: err}
-				ready <- i
-				continue
-			}
-			sev := base.Ev.Clone()
-			sev.SetStop(&stop)
-			results[i] = whatif.Eval(base, sev, g, scenarios[i])
-			// The clone is scenario-private, so a nonzero hit count
-			// attributes the fast path to exactly this scenario.
-			if sev.Stats().FastPathHits > 0 {
-				localFast++
-			}
-			local.Add(sev.Stats())
-			ready <- i
-		}
-		statsMu.Lock()
-		scenStats.Add(local)
-		fastScen += localFast
-		statsMu.Unlock()
-	}
 	for i := 0; i < min(s.Shards(), len(scenarios)); i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := s.pool.run(ctx, false, func(*steady.Evaluator) error {
-				scenarioLoop()
-				return nil
-			}); err != nil {
-				// ctx ended while this worker waited for an evaluator: the
-				// loop now only drains unclaimed scenarios as ctx errors.
-				scenarioLoop()
+			// A worker whose ctx ends while it waits for its token holds
+			// nothing: the loop then only drains unclaimed scenarios as
+			// ctx errors.
+			if release, err := s.pool.hold(ctx); err == nil {
+				defer release()
 			}
+			g := res.g.Clone()
+			var local steady.SolveStats
+			localFast := 0
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(scenarios) {
+					break
+				}
+				if err := ctx.Err(); err != nil {
+					results[i] = whatif.Result{Scenario: scenarios[i], Err: err}
+					ready <- i
+					continue
+				}
+				sev := base.Ev.Clone()
+				sev.SetStop(&stop)
+				results[i] = whatif.Eval(base, sev, g, scenarios[i])
+				// The clone is scenario-private, so a nonzero hit count
+				// attributes the fast path to exactly this scenario.
+				if sev.Stats().FastPathHits > 0 {
+					localFast++
+				}
+				local.Add(sev.Stats())
+				ready <- i
+			}
+			statsMu.Lock()
+			scenStats.Add(local)
+			fastScen += localFast
+			statsMu.Unlock()
 		}()
 	}
 
