@@ -30,8 +30,6 @@ type (
 	Problem = steady.Problem
 	// Bound is the outcome of one of the steady-state LP programs.
 	Bound = steady.Bound
-	// HeuristicResult is the outcome of one heuristic run.
-	HeuristicResult = heur.Result
 	// Heuristic is a named algorithm for the Series problem.
 	Heuristic = heur.Heuristic
 	// Tree is a multicast arborescence.
@@ -48,9 +46,6 @@ type (
 	TiersPlatform = tiers.Platform
 )
 
-// NewPlatform returns an empty platform graph.
-func NewPlatform() *Graph { return graph.New() }
-
 // NewProblem validates and builds a Series-of-Multicasts instance.
 func NewProblem(g *Graph, source NodeID, targets []NodeID) (Problem, error) {
 	return steady.NewProblem(g, source, targets)
@@ -64,12 +59,6 @@ func ScatterBound(p Problem) (*Bound, error) { return steady.ScatterUB(p) }
 // relaxation, a lower bound on the optimal period (not achievable in
 // general).
 func LowerBound(p Problem) (*Bound, error) { return steady.MulticastLB(p) }
-
-// BroadcastBound computes Broadcast-EB: the exact optimal steady-state
-// broadcast period of the active platform.
-func BroadcastBound(g *Graph, source NodeID) (*Bound, error) {
-	return steady.BroadcastEB(g, source)
-}
 
 // Heuristics returns the paper's heuristic set (MCPH, Augmented
 // Multicast, Reduced Broadcast, Augmented Sources). Every run uses a
@@ -178,13 +167,6 @@ type (
 	BatchItem = serve.BatchItem
 	// BatchLine is one NDJSON line of a batch (or job) result stream.
 	BatchLine = serve.BatchLine
-	// JobStatus is the body of a job poll (GET /v1/jobs/{id}).
-	JobStatus = serve.JobStatus
-	// APIErrorBody is the structured error payload every v1 endpoint
-	// wraps in {"error": {...}} on failure.
-	APIErrorBody = serve.ErrorBody
-	// APIErrorEnvelope is the full error response body.
-	APIErrorEnvelope = serve.ErrorEnvelope
 )
 
 // NewPlanServer returns a ready planning daemon; mount it on any
@@ -214,57 +196,6 @@ func Serve(addr string, cfg ServeConfig) error {
 	return http.ListenAndServe(addr, serve.New(cfg))
 }
 
-// Live platforms (PATCH /v1/platforms/{id}, GET .../subscribe):
-// platforms are versioned and mutable in place via atomic delta
-// batches, and subscriptions stream a fresh plan per version —
-// byte-identical to a cold solve of that version's snapshot. The
-// same delta vocabulary drives Evaluator.Replan, the warm in-process
-// re-solve; see DESIGN.md Section 14.
-type (
-	// Delta is an ordered, atomically-applied batch of platform
-	// mutations (see DropNode, AddEdge, ScaleEdgeCost, ...).
-	Delta = graph.Delta
-	// DeltaOp is one platform mutation.
-	DeltaOp = graph.DeltaOp
-	// ReplanResult is the outcome of Evaluator.Replan: the re-solved
-	// plan plus whether the warm path or a cold fallback produced it.
-	ReplanResult = steady.ReplanResult
-	// PatchOp is the wire spelling of a DeltaOp: nodes by name, edges
-	// by ID or by endpoint names.
-	PatchOp = serve.PatchOp
-	// PatchRequest is the body of PATCH /v1/platforms/{id}.
-	PatchRequest = serve.PatchRequest
-	// PatchResponse reports the post-patch version and fingerprint plus
-	// cache invalidation/repair counts.
-	PatchResponse = serve.PatchResponse
-	// ChangeRecord is one entry of GET /v1/platforms/{id}/log.
-	ChangeRecord = serve.ChangeRecord
-	// SubscribeLine is one streamed update of GET
-	// /v1/platforms/{id}/subscribe: a version and its plan (or error).
-	SubscribeLine = serve.SubscribeLine
-	// SubscribeSpec selects what a Client.Subscribe stream re-plans.
-	SubscribeSpec = mcastclient.SubscribeSpec
-	// Subscription is a Client.Subscribe pull iterator (Next/Close).
-	Subscription = mcastclient.Subscription
-)
-
-// Delta op constructors, re-exported for library callers driving
-// Evaluator.Replan directly (HTTP callers use the PatchOp wire form).
-func DropNode(v NodeID) DeltaOp    { return graph.DropNodeOp(v) }
-func RestoreNode(v NodeID) DeltaOp { return graph.RestoreNodeOp(v) }
-func AddNode(name string) DeltaOp  { return graph.AddNodeOp(name) }
-func DisableEdge(id int) DeltaOp   { return graph.DisableEdgeOp(id) }
-func EnableEdge(id int) DeltaOp    { return graph.EnableEdgeOp(id) }
-func AddEdge(from, to NodeID, cost float64) DeltaOp {
-	return graph.AddEdgeOp(from, to, cost)
-}
-func SetEdgeCost(id int, cost float64) DeltaOp {
-	return graph.SetEdgeCostOp(id, cost)
-}
-func ScaleEdgeCost(id int, factor float64) DeltaOp {
-	return graph.ScaleEdgeCostOp(id, factor)
-}
-
 // What-if resilience engine (internal/whatif, POST /v1/whatif): given
 // an instance, evaluate node failures, per-edge link failures and
 // bandwidth degradations, and secondary-source promotions — each on an
@@ -274,11 +205,6 @@ func ScaleEdgeCost(id int, factor float64) DeltaOp {
 type (
 	// WhatifConfig selects the scenario family and worker count.
 	WhatifConfig = whatif.Config
-	// WhatifScenario is one platform perturbation.
-	WhatifScenario = whatif.Scenario
-	// WhatifResult is one scenario's outcome (throughput delta vs the
-	// baseline, surviving MCPH tree, infeasibility).
-	WhatifResult = whatif.Result
 	// WhatifReport is the full analysis: baseline, per-scenario results
 	// and the criticality rankings.
 	WhatifReport = whatif.Report
@@ -306,9 +232,6 @@ type SweepConfig = exp.Config
 
 // SweepCell is one aggregated (density, series) data point.
 type SweepCell = exp.Cell
-
-// SweepTask identifies one (platform, density) grid point of a sweep.
-type SweepTask = exp.Task
 
 // SweepTaskResult is the structured outcome of one sweep task; task
 // failures are carried in its Err field rather than aborting the sweep.

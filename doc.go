@@ -27,6 +27,10 @@
 //	internal/setcover  MINIMUM-SET-COVER and the Theorem 1 reduction
 //	internal/prefix    pipelined parallel prefix and the Theorem 5
 //	                   reduction
+//	internal/fanout    the one ordered fan-out: index-addressed jobs on
+//	                   a bounded set of goroutines, emitted in index
+//	                   order on the caller's goroutine (the sweep, the
+//	                   what-if engine, batch and what-if requests)
 //	internal/exp       the Figure 11 experiment harness: a concurrent
 //	                   sweep engine (task generator, worker pool,
 //	                   order-independent aggregator) with deterministic

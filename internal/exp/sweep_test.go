@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -58,7 +59,7 @@ func TestSweepDeterminism(t *testing.T) {
 
 // TestSweepTaskOrder checks that Sweep returns structured results in
 // task order (platform-major) whatever order the workers finish in,
-// and that the progress sink sees one line per task.
+// and that the progress sink sees one line per task, in task order.
 func TestSweepTaskOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is slow")
@@ -90,8 +91,15 @@ func TestSweepTaskOrder(t *testing.T) {
 			t.Errorf("result %d not fully populated: %+v", i, r)
 		}
 	}
-	if n := strings.Count(progress.String(), "\n"); n != 4 {
-		t.Errorf("progress wrote %d lines, want 4:\n%s", n, progress.String())
+	lines := strings.Split(strings.TrimSuffix(progress.String(), "\n"), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("progress wrote %d lines, want 4:\n%s", len(lines), progress.String())
+	}
+	for i, line := range lines {
+		prefix := fmt.Sprintf("platform %d density %.2f:", want[i].Platform, want[i].Density)
+		if !strings.HasPrefix(line, prefix) {
+			t.Errorf("progress line %d = %q, want task order (%q)", i, line, prefix)
+		}
 	}
 }
 

@@ -4,8 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"sync"
-	"sync/atomic"
+
+	"repro/internal/fanout"
 )
 
 // BatchRequest is the body of POST /v1/plan:batch and POST /v1/jobs: a
@@ -127,70 +127,42 @@ func (s *Server) planItem(ctx context.Context, spec *PlanSpec, noCache bool) (*P
 // NDJSON line sequence (plan lines in submission order, then the
 // summary) through emit. It returns the number of item errors.
 //
-// The fan-out mirrors the what-if engine: min(pool size, items)
-// workers claim items from an atomic cursor and park each result in a
-// reorder buffer, which releases line i once items 0..i have all
-// landed — the stream order is the submission order whatever the
-// completion order. Workers hold an evaluator only while actually
-// solving (inside planItem's compute), never while following a flight
-// or while emit writes to the client, so batch items coalesce safely
-// with interactive traffic in either direction.
+// The items fan out over min(pool size, items) workers through the
+// shared ordered fan-out (internal/fanout), so line i is emitted, on
+// the calling goroutine, once items 0..i have all landed: the stream
+// order is the submission order whatever the completion order. Workers
+// hold an evaluator only while actually solving (inside planItem's
+// compute), never while following a flight or while emit writes to the
+// client, so batch items coalesce safely with interactive traffic in
+// either direction.
 func (s *Server) runBatch(ctx context.Context, req *BatchRequest, emit func(BatchLine)) int {
 	n := len(req.Items)
-	specs := make([]*PlanSpec, n)
-	for i := range req.Items {
-		specs[i] = req.PlanSpec.merged(&req.Items[i].PlanSpec)
-	}
-
 	type itemResult struct {
 		resp *PlanResponse
 		err  error
 	}
 	results := make([]itemResult, n)
-	ready := make(chan int, n)
-	var next atomic.Int64
-	workers := min(s.Shards(), n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					results[i] = itemResult{err: err}
-				} else {
-					resp, err := s.planItem(ctx, specs[i], req.NoCache)
-					results[i] = itemResult{resp: resp, err: err}
-				}
-				ready <- i
-			}
-		}()
-	}
-
-	// Reorder buffer: emit item i once it and every predecessor landed.
 	itemErrors := 0
-	done := make([]bool, n)
-	emitted := 0
-	for emitted < n {
-		done[<-ready] = true
-		for emitted < n && done[emitted] {
-			line := BatchLine{Kind: "plan", Index: emitted}
-			if r := results[emitted]; r.err != nil {
-				_, body := errorBody(r.err)
-				line.Error = &body
-				itemErrors++
-			} else {
-				line.Plan = r.resp
+	fanout.Ordered(n, s.Shards(), func() func(int) {
+		return func(i int) {
+			if err := ctx.Err(); err != nil {
+				results[i].err = err
+				return
 			}
-			emit(line)
-			emitted++
+			spec := req.PlanSpec.merged(&req.Items[i].PlanSpec)
+			results[i].resp, results[i].err = s.planItem(ctx, spec, req.NoCache)
 		}
-	}
-	wg.Wait()
+	}, func(i int) {
+		line := BatchLine{Kind: "plan", Index: i}
+		if err := results[i].err; err != nil {
+			_, body := errorBody(err)
+			line.Error = &body
+			itemErrors++
+		} else {
+			line.Plan = results[i].resp
+		}
+		emit(line)
+	})
 	emit(BatchLine{Kind: "summary", Items: n, ErrorCount: itemErrors})
 
 	s.mu.Lock()

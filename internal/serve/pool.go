@@ -22,8 +22,8 @@ import (
 // Hold invariant: a goroutine that holds an evaluator never waits on a
 // flight, on the pool, or on a client write. Evaluators are therefore
 // taken in exactly two places — inside a flight leader's compute (plan,
-// batch item and job item leaders) and by what-if fan-out workers,
-// which never coalesce — and every holder finishes without depending
+// batch item and job item leaders) and around each what-if scenario,
+// which never coalesces — and every holder finishes without depending
 // on another request's progress, so no mix of plans, batches, jobs,
 // what-ifs and replans can deadlock.
 //
@@ -109,8 +109,8 @@ func (p *evalPool) run(ctx context.Context, interactive bool, fn func(ev *steady
 }
 
 // hold takes an evaluator as a bare concurrency token, for bulk work
-// that computes on evaluators of its own (what-if scenario workers
-// solve on clones of the baseline's). The held evaluator is neither
+// that computes on evaluators of its own (each what-if scenario
+// solves on a clone of the baseline's). The held evaluator is neither
 // Reset nor counted as served; release returns it to the pool.
 func (p *evalPool) hold(ctx context.Context) (release func(), err error) {
 	e, _, err := p.take(ctx, false)

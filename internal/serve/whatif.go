@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"sync"
 	"sync/atomic"
 
+	"repro/internal/fanout"
 	"repro/internal/faultinject"
 	"repro/internal/graph"
 	"repro/internal/steady"
@@ -240,11 +240,10 @@ func whatifSummaryLine(g *graph.Graph, rep *whatif.Report) WhatifLine {
 }
 
 // handleWhatif is POST /v1/whatif: baseline on a pooled evaluator,
-// then the scenario family fanned out over up to min(pool size,
-// scenarios) pooled evaluators' worth of workers on evaluator clones,
-// streamed as NDJSON in the deterministic enumeration order (results
-// are emitted as soon as they and all their predecessors are done),
-// with a final summary line.
+// then the scenario family fanned out over min(pool size, scenarios)
+// workers on evaluator clones, streamed as NDJSON in the deterministic
+// enumeration order (results are emitted as soon as they and all their
+// predecessors are done), with a final summary line.
 func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	var req WhatifRequest
 	if err := decodeBody(w, r, 2*s.cfg.maxPlatformBytes()+(1<<16), &req); err != nil {
@@ -302,86 +301,44 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	}
 	emit(whatifBaselineLine(res.id, res.fp, base, len(scenarios)))
 
-	// Fan the scenarios out over workers that each hold one pooled
-	// evaluator for their whole loop, as a token only — the pool is the
-	// concurrency budget scenario work shares with plan traffic. Every scenario runs
+	// Fan the scenarios out over min(pool size, scenarios) workers
+	// through the shared ordered fan-out (internal/fanout). Each
+	// scenario holds one pooled evaluator as a bare token while it
+	// solves — the pool is the concurrency budget scenario work shares
+	// with plan traffic, and a queued interactive plan can take an
+	// evaluator between two scenarios. Every scenario runs whatif.Step
 	// on its own clone of the baseline evaluator over a worker-private
 	// platform copy, so the results — and therefore the streamed bytes —
-	// cannot depend on scheduling. Workers never wait on a flight or on
-	// the client (ready is buffered for every scenario; only this
-	// handler goroutine writes). If the client hangs up mid-stream the
-	// remaining scenarios are drained as canceled instead of solved, so
-	// a dead request does not hold evaluators against live plan traffic
+	// cannot depend on scheduling. Only this handler goroutine writes to
+	// the client. If the client hangs up mid-stream the remaining
+	// scenarios are drained as canceled instead of solved, so a dead
+	// request does not hold evaluators against live plan traffic
 	// (cancellation never changes the bytes of a body that is actually
 	// delivered — a canceled request has no reader).
 	// One request-level stop flag, armed on the deadline-bounded ctx and
-	// shared by every worker's evaluator clones, stops scenario solves
+	// shared by every scenario's evaluator clone, stops scenario solves
 	// mid-iteration when the budget expires (the ctx.Err check below
 	// only catches scenarios that have not started).
 	var stop atomic.Bool
 	defer context.AfterFunc(ctx, func() { stop.Store(true) })()
 	results := make([]whatif.Result, len(scenarios))
-	ready := make(chan int, len(scenarios))
-	var (
-		next      atomic.Int64
-		statsMu   sync.Mutex
-		scenStats steady.SolveStats
-		fastScen  int
-		wg        sync.WaitGroup
-	)
-	for i := 0; i < min(s.Shards(), len(scenarios)); i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// A worker whose ctx ends while it waits for its token holds
-			// nothing: the loop then only drains unclaimed scenarios as
-			// ctx errors.
-			if release, err := s.pool.hold(ctx); err == nil {
+	stats := make([]steady.SolveStats, len(scenarios))
+	fanout.Ordered(len(scenarios), s.Shards(), func() func(int) {
+		g := res.g.Clone()
+		return func(i int) {
+			release, err := s.pool.hold(ctx)
+			if err == nil {
 				defer release()
+				err = ctx.Err()
 			}
-			g := res.g.Clone()
-			var local steady.SolveStats
-			localFast := 0
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(scenarios) {
-					break
-				}
-				if err := ctx.Err(); err != nil {
-					results[i] = whatif.Result{Scenario: scenarios[i], Err: err}
-					ready <- i
-					continue
-				}
-				sev := base.Ev.Clone()
-				sev.SetStop(&stop)
-				results[i] = whatif.Eval(base, sev, g, scenarios[i])
-				// The clone is scenario-private, so a nonzero hit count
-				// attributes the fast path to exactly this scenario.
-				if sev.Stats().FastPathHits > 0 {
-					localFast++
-				}
-				local.Add(sev.Stats())
-				ready <- i
+			if err != nil {
+				results[i] = whatif.Result{Scenario: scenarios[i], Err: err}
+				return
 			}
-			statsMu.Lock()
-			scenStats.Add(local)
-			fastScen += localFast
-			statsMu.Unlock()
-		}()
-	}
-
-	// Stream in order: emit scenario i once it and every predecessor
-	// have landed.
-	done := make([]bool, len(scenarios))
-	emitted := 0
-	for emitted < len(scenarios) {
-		done[<-ready] = true
-		for emitted < len(scenarios) && done[emitted] {
-			emit(whatifScenarioLine(res.g, results[emitted]))
-			emitted++
+			results[i], stats[i] = whatif.Step(base, g, scenarios[i], false, &stop)
 		}
-	}
-	wg.Wait()
+	}, func(i int) { emit(whatifScenarioLine(res.g, results[i])) })
+	scenStats, fastScen := whatif.Tally(stats)
 
 	rep := whatif.BuildReport(base, scenarios, results)
 	rep.FastPathScenarios = fastScen

@@ -23,11 +23,10 @@ package whatif
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
+	"repro/internal/fanout"
 	"repro/internal/graph"
 	"repro/internal/heur"
 	"repro/internal/steady"
@@ -114,13 +113,6 @@ type Config struct {
 // failure, and every source promotion.
 func DefaultConfig() Config {
 	return Config{NodeFailures: true, EdgeFactors: []float64{0}, AllSources: true}
-}
-
-func (c Config) workers() int {
-	if c.Workers < 1 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.Workers
 }
 
 // Baseline is the unperturbed reference every scenario is compared
@@ -445,58 +437,51 @@ func Analyze(p steady.Problem, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// Run evaluates the scenarios against the baseline on cfg.workers()
-// concurrent workers and returns the index-aligned results, the
+// Run evaluates the scenarios against the baseline on cfg.Workers
+// goroutines (values < 1 mean runtime.GOMAXPROCS(0)) through the
+// shared ordered fan-out, and returns the index-aligned results, the
 // aggregated scenario solver statistics, and the number of scenarios
 // answered (at least partly) through the tree fast path. Each scenario
-// gets a fresh clone of base.Ev (or a fresh evaluator when cfg.Cold)
-// and each worker a private platform copy, so the results are
-// independent of scheduling.
+// runs through Step, and each worker owns a private platform copy, so
+// the results are independent of scheduling.
 func Run(base *Baseline, scenarios []Scenario, cfg Config) ([]Result, steady.SolveStats, int) {
 	results := make([]Result, len(scenarios))
-	var (
-		next  atomic.Int64
-		mu    sync.Mutex
-		stats steady.SolveStats
-		fast  int
-		wg    sync.WaitGroup
-	)
-	workers := cfg.workers()
-	if workers > len(scenarios) {
-		workers = len(scenarios)
+	stats := make([]steady.SolveStats, len(scenarios))
+	fanout.Ordered(len(scenarios), cfg.Workers, func() func(int) {
+		g := base.Problem.G.Clone()
+		return func(i int) { results[i], stats[i] = Step(base, g, scenarios[i], cfg.Cold, nil) }
+	}, func(int) {})
+	total, fast := Tally(stats)
+	return results, total, fast
+}
+
+// Step is the one per-scenario step of Run and the serving layer's
+// /v1/whatif fan-out: it evaluates sc on a fresh clone of base.Ev (a
+// fresh evaluator when cold) over g, a private copy of the baseline
+// platform, with stop (nil for none) as the evaluator's cooperative
+// stop flag. It returns the result and the scenario's solver
+// statistics; the evaluator is private to the scenario, so they
+// attribute exactly this evaluation.
+func Step(base *Baseline, g *graph.Graph, sc Scenario, cold bool, stop *atomic.Bool) (Result, steady.SolveStats) {
+	ev := steady.NewEvaluator()
+	if !cold {
+		ev = base.Ev.Clone()
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g := base.Problem.G.Clone()
-			var local steady.SolveStats
-			localFast := 0
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(scenarios) {
-					break
-				}
-				sev := steady.NewEvaluator()
-				if !cfg.Cold {
-					sev = base.Ev.Clone()
-				}
-				results[i] = Eval(base, sev, g, scenarios[i])
-				// The clone is private to this scenario, so its counters
-				// attribute exactly one evaluation.
-				if sev.Stats().FastPathHits > 0 {
-					localFast++
-				}
-				local.Add(sev.Stats())
-			}
-			mu.Lock()
-			stats.Add(local)
-			fast += localFast
-			mu.Unlock()
-		}()
+	ev.SetStop(stop)
+	res := Eval(base, ev, g, sc)
+	return res, ev.Stats()
+}
+
+// Tally sums per-scenario solver statistics in index order and counts
+// the scenarios the tree fast path answered at least one bound of.
+func Tally(stats []steady.SolveStats) (total steady.SolveStats, fastPathScenarios int) {
+	for _, st := range stats {
+		total.Add(st)
+		if st.FastPathHits > 0 {
+			fastPathScenarios++
+		}
 	}
-	wg.Wait()
-	return results, stats, fast
+	return total, fastPathScenarios
 }
 
 // BuildReport assembles the rankings from index-aligned scenarios and
