@@ -51,23 +51,10 @@ func NewProblem(g *Graph, source NodeID, targets []NodeID) (Problem, error) {
 	return steady.NewProblem(g, source, targets)
 }
 
-// ScatterBound computes the paper's Multicast-UB: the achievable
-// scatter relaxation, an upper bound on the optimal period.
-func ScatterBound(p Problem) (*Bound, error) { return steady.ScatterUB(p) }
-
-// LowerBound computes the paper's Multicast-LB: the optimistic
-// relaxation, a lower bound on the optimal period (not achievable in
-// general).
-func LowerBound(p Problem) (*Bound, error) { return steady.MulticastLB(p) }
-
-// Heuristics returns the paper's heuristic set (MCPH, Augmented
-// Multicast, Reduced Broadcast, Augmented Sources). Every run uses a
-// private bound evaluator; use HeuristicsWith to share one.
-func Heuristics() []Heuristic { return heur.All() }
-
-// Evaluator is a caching, warm-starting service for the steady-state
-// bound programs: results are cached by platform fingerprint and
-// target set, all solves share one reusable LP workspace, and the
+// Evaluator is the one way to solve the steady-state bound programs:
+// ScatterUB (the paper's Multicast-UB), MulticastLB, BroadcastEB and
+// MultiSourceUB. Results are cached by platform fingerprint and target
+// set, all solves share one reusable LP workspace, and the
 // cutting-plane / column-generation state (cuts, path columns) of
 // earlier solves seeds later related ones. The LP-based heuristics run
 // their incremental inner loops (drop node, add node, promote source)
@@ -83,9 +70,11 @@ type SolveStats = steady.SolveStats
 // workspace.
 func NewEvaluator() *Evaluator { return steady.NewEvaluator() }
 
-// HeuristicsWith returns the paper's heuristic set bound to a shared
+// HeuristicsWith returns the paper's heuristic set (MCPH, Augmented
+// Multicast, Reduced Broadcast, Augmented Sources) bound to a shared
 // evaluator, so consecutive runs on the same platform reuse each
-// other's LP work.
+// other's LP work. Running the bounds and then these heuristics on one
+// fresh evaluator is the sequence a PlanServer answers with.
 func HeuristicsWith(ev *Evaluator) []Heuristic { return heur.AllWith(ev) }
 
 // Optimal computes the exact optimal steady-state multicast throughput

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/exp"
 )
 
 // TestFacadeEndToEnd drives the whole public surface on the paper's
@@ -20,11 +21,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, err := repro.LowerBound(p)
+	ev := repro.NewEvaluator()
+	lb, err := ev.MulticastLB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ub, err := repro.ScatterBound(p)
+	ub, err := ev.ScatterUB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +47,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if single <= pk.Period()+1e-9 {
 		t.Fatalf("single tree %v should be worse than packing %v", single, pk.Period())
 	}
-	for _, h := range repro.Heuristics() {
+	for _, h := range repro.HeuristicsWith(ev) {
 		res, err := h.Run(p)
 		if err != nil {
 			t.Fatalf("%s: %v", h.Name, err)
@@ -135,12 +137,13 @@ func TestFacadeServe(t *testing.T) {
 	if len(pr.Bounds) != 3 || len(pr.Plans) != 4 {
 		t.Fatalf("plan shape: %d bounds, %d plans", len(pr.Bounds), len(pr.Plans))
 	}
-	// The served lower bound must agree with the direct library call.
+	// The served lower bound must agree with the library call on a
+	// fresh evaluator.
 	p, err := repro.NewProblem(pl.G, pl.Source, pl.Targets)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, err := repro.LowerBound(p)
+	lb, err := repro.NewEvaluator().MulticastLB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,6 +169,90 @@ func TestFacadeServe(t *testing.T) {
 	}
 	if st.Shards != 2 || st.Solver.Solves == 0 {
 		t.Errorf("stats: %+v", st)
+	}
+}
+
+// TestLibrarySequenceMatchesServedPlan pins DESIGN.md §9.3 from the
+// library side: the bounds (scatter, lb, broadcast) and then the
+// heuristic registry, all on one fresh evaluator, give bit for bit the
+// periods /v1/plan serves for the same request. The instance is one
+// where giving each heuristic a private evaluator instead changes the
+// last bit of a period.
+func TestLibrarySequenceMatchesServedPlan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("big-platform heuristics are slow")
+	}
+	pl, err := repro.GenerateBigPlatform(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := repro.RandomTargets(pl, exp.NewRNG(3, 1), 0.2)
+	p, err := repro.NewProblem(pl.G, pl.Source, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ev := repro.NewEvaluator()
+	var want []float64
+	for _, bound := range []func() (*repro.Bound, error){
+		func() (*repro.Bound, error) { return ev.ScatterUB(p) },
+		func() (*repro.Bound, error) { return ev.MulticastLB(p) },
+		func() (*repro.Bound, error) { return ev.BroadcastEB(pl.G, pl.Source) },
+	} {
+		b, err := bound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, b.Period)
+	}
+	for _, h := range repro.HeuristicsWith(ev) {
+		res, err := h.Run(p)
+		if err != nil {
+			t.Fatalf("%s: %v", h.Name, err)
+		}
+		want = append(want, res.Period)
+	}
+
+	srv := repro.NewPlanServer(repro.ServeConfig{})
+	var text strings.Builder
+	if err := pl.G.Encode(&text); err != nil {
+		t.Fatal(err)
+	}
+	upload, _ := json.Marshal(repro.PlatformUpload{ID: "big3", Platform: text.String(), Source: pl.G.Name(pl.Source)})
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/platforms", bytes.NewReader(upload)))
+	if w.Code != http.StatusCreated {
+		t.Fatalf("upload: %d %s", w.Code, w.Body.String())
+	}
+	var names []string
+	for _, id := range targets {
+		names = append(names, pl.G.Name(id))
+	}
+	plan, _ := json.Marshal(repro.PlanRequest{PlanSpec: repro.PlanSpec{PlatformID: "big3", Targets: names}})
+	w = httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(plan)))
+	if w.Code != http.StatusOK {
+		t.Fatalf("plan: %d %s", w.Code, w.Body.String())
+	}
+	var pr repro.PlanResponse
+	if err := json.NewDecoder(w.Body).Decode(&pr); err != nil {
+		t.Fatal(err)
+	}
+	var got []float64
+	var labels []string
+	for _, b := range pr.Bounds {
+		got, labels = append(got, b.Period), append(labels, b.Name)
+	}
+	for _, r := range pr.Plans {
+		got, labels = append(got, r.Period), append(labels, r.Heuristic)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("served %d periods (%v), library computed %d", len(got), labels, len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Errorf("%s: served period %.17g, library %.17g", labels[i], got[i], want[i])
+		}
 	}
 }
 

@@ -35,6 +35,16 @@ import (
 	"repro/internal/tree"
 )
 
+// lpEvaluator returns a fresh evaluator with the tree fast path off, so
+// every bound it answers is a from-scratch LP solve: the benchmarks
+// that take one per iteration time the solver, not the result cache or
+// the combinatorial path.
+func lpEvaluator() *steady.Evaluator {
+	ev := steady.NewEvaluator()
+	ev.SetFastPath(false)
+	return ev
+}
+
 // --- Figure 1: the Section 3 worked example -------------------------
 
 func BenchmarkFigure1Example(b *testing.B) {
@@ -65,7 +75,7 @@ func BenchmarkComplexityTableBroadcast(b *testing.B) {
 	g, s, _ := complexityChain(10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := steady.BroadcastEB(g, s); err != nil {
+		if _, err := lpEvaluator().BroadcastEB(g, s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -147,11 +157,12 @@ func BenchmarkFigure4Bounds(b *testing.B) {
 	p := pl.Problem()
 	var ubThr, lbThr, optThr float64
 	for i := 0; i < b.N; i++ {
-		ub, err := steady.ScatterUB(p)
+		ev := lpEvaluator()
+		ub, err := ev.ScatterUB(p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		lb, err := steady.MulticastLB(p)
+		lb, err := ev.MulticastLB(p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,11 +184,12 @@ func BenchmarkFigure5Gap(b *testing.B) {
 	p := pl.Problem()
 	var gap float64
 	for i := 0; i < b.N; i++ {
-		ub, err := steady.ScatterUB(p)
+		ev := lpEvaluator()
+		ub, err := ev.ScatterUB(p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		lb, err := steady.MulticastLB(p)
+		lb, err := ev.MulticastLB(p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -318,7 +330,7 @@ func BenchmarkFigure12CaseStudy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ms, err := heur.AugmentedSources(p)
+		ms, err := heur.AugmentedSources(lpEvaluator(), p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -365,58 +377,15 @@ func BenchmarkAblationLBDense(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := steady.BroadcastEB(pl.G, pl.Source); err != nil {
+	if _, err := lpEvaluator().BroadcastEB(pl.G, pl.Source); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := steady.BroadcastEB(pl.G, pl.Source); err != nil {
+		if _, err := lpEvaluator().BroadcastEB(pl.G, pl.Source); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// --- Solver engine: cold vs warm cutting plane -------------------------
-
-// BenchmarkMulticastLBWarmCuts and ...ColdCuts time the Multicast-LB
-// cutting-plane loop on a dense-target (broadcast-shaped) instance of
-// the big platform, with and without warm-starting each separation
-// round from the previous basis. The reported simplex-iters metric is
-// the acceptance criterion: warm must pivot measurably less for the
-// same optimum.
-func BenchmarkMulticastLBWarmCuts(b *testing.B) { benchLBCuts(b, true) }
-
-func BenchmarkMulticastLBColdCuts(b *testing.B) { benchLBCuts(b, false) }
-
-func benchLBCuts(b *testing.B, warm bool) {
-	b.Helper()
-	pl, err := tiers.Generate(tiers.Big(11))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var targets []graph.NodeID
-	for _, v := range pl.G.ActiveNodes() {
-		if v != pl.Source {
-			targets = append(targets, v)
-		}
-	}
-	p, err := steady.NewProblem(pl.G, pl.Source, targets)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var bound *steady.Bound
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bound, err = steady.MulticastLBWith(p, steady.LBOptions{WarmStart: warm})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(bound.Iterations), "simplex-iters")
-	b.ReportMetric(float64(bound.Rounds), "rounds")
-	b.ReportMetric(float64(bound.Solves), "lp-solves")
-	b.ReportMetric(float64(bound.WarmSolves), "warm-solves")
-	b.ReportMetric(1/bound.Period, "throughput")
 }
 
 // --- Substrate micro-benchmarks ----------------------------------------
@@ -524,7 +493,7 @@ func BenchmarkScatterUBSmall(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := steady.ScatterUB(p); err != nil {
+		if _, err := lpEvaluator().ScatterUB(p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -735,105 +704,6 @@ func benchWhatif(b *testing.B, cold bool) {
 	b.ReportMetric(float64(st.WarmSolves), "warm-solves")
 	b.ReportMetric(float64(len(rep.Results)), "scenarios")
 	b.ReportMetric(float64(rep.Surviving), "tree-survives")
-}
-
-// --- Tree-topology fast path: combinatorial bound vs the LP ----------
-
-// BenchmarkTreeFastPathSmall/Big time a broadcast bound on random tree
-// platforms at the Figure 11 node counts (30 and 65) through the
-// evaluator's combinatorial fast path, with a Reset each iteration so
-// every evaluation reclassifies and rescans rather than hitting the
-// result cache. The ...LB twins push the identical problem through the
-// Multicast-LB solver (presolved, and raw with presolve off) — at 30
-// nodes that is the direct per-target formulation, at 65 the
-// cut-covering master. The acceptance criterion is ns/op: the fast
-// path must beat both LP configurations by >= 10x while agreeing on
-// the throughput (checked here before the timer starts; the tests and
-// FuzzTreeVsLP pin the <= 1e-9 contract).
-func BenchmarkTreeFastPathSmall(b *testing.B) { benchTreeBound(b, 30, "fast") }
-
-func BenchmarkTreeFastPathBig(b *testing.B) { benchTreeBound(b, 65, "fast") }
-
-func BenchmarkTreeLBSmall(b *testing.B) { benchTreeBound(b, 30, "lp") }
-
-func BenchmarkTreeLBBig(b *testing.B) { benchTreeBound(b, 65, "lp") }
-
-func BenchmarkTreeLBRawSmall(b *testing.B) { benchTreeBound(b, 30, "lpraw") }
-
-func BenchmarkTreeLBRawBig(b *testing.B) { benchTreeBound(b, 65, "lpraw") }
-
-// benchTreeRebuild grows a random recursive tree with tiers-like
-// heterogeneous full-duplex links — the reconstructed-spanning-tree
-// platform a multicast session runs on after tree selection.
-func benchTreeRebuild(n int, seed int64) (*graph.Graph, []graph.NodeID) {
-	r := rand.New(rand.NewSource(seed))
-	g := graph.New()
-	ids := g.AddNodes("n", n)
-	for i := 1; i < n; i++ {
-		p := ids[r.Intn(i)]
-		g.AddLink(p, ids[i], 10+r.Float64()*190)
-	}
-	return g, ids
-}
-
-func benchTreeBound(b *testing.B, n int, mode string) {
-	b.Helper()
-	g, ids := benchTreeRebuild(n, int64(n))
-	p, err := steady.NewProblem(g, ids[0], ids[1:])
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Agreement check up front, outside the timed loop: the fast path
-	// and the LP must report the same broadcast period on this platform.
-	ev := steady.NewEvaluator()
-	fast, err := ev.MulticastLB(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ref, err := steady.MulticastLBWith(p, steady.LBOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if d := fast.Period - ref.Period; d > 1e-6*ref.Period || d < -1e-6*ref.Period {
-		b.Fatalf("fast period %.17g vs LP %.17g", fast.Period, ref.Period)
-	}
-
-	var bound *steady.Bound
-	b.ResetTimer()
-	switch mode {
-	case "fast":
-		for i := 0; i < b.N; i++ {
-			ev.Reset()
-			bound, err = ev.MulticastLB(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		s := ev.Stats()
-		b.ReportMetric(float64(s.FastPathHits)/float64(b.N+1), "fastpath-hits")
-		b.ReportMetric(float64(s.Solves), "lp-solves")
-	case "lp":
-		for i := 0; i < b.N; i++ {
-			bound, err = steady.MulticastLBWith(p, steady.LBOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(bound.Iterations), "simplex-iters")
-		b.ReportMetric(float64(bound.Solves), "lp-solves")
-	case "lpraw":
-		for i := 0; i < b.N; i++ {
-			bound, err = steady.MulticastLBWith(p, steady.LBOptions{NoPresolve: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(bound.Iterations), "simplex-iters")
-		b.ReportMetric(float64(bound.Solves), "lp-solves")
-	default:
-		b.Fatalf("unknown mode %q", mode)
-	}
-	b.ReportMetric(1/bound.Period, "throughput")
 }
 
 // --- Live-platform churn replan ----------------------------------------

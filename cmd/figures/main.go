@@ -65,7 +65,7 @@ func figure1() error {
 	pl := platforms.Figure1()
 	p := pl.Problem()
 	fmt.Println("Figure 1 - the Section 3 worked example (targets P7..P13)")
-	lb, err := steady.MulticastLB(p)
+	lb, err := steady.NewEvaluator().MulticastLB(p)
 	if err != nil {
 		return err
 	}
@@ -145,11 +145,12 @@ func figure4() error {
 	pl := platforms.Figure4()
 	p := pl.Problem()
 	fmt.Println("Figure 4 - neither bound is tight")
-	ub, err := steady.ScatterUB(p)
+	ev := steady.NewEvaluator()
+	ub, err := ev.ScatterUB(p)
 	if err != nil {
 		return err
 	}
-	lb, err := steady.MulticastLB(p)
+	lb, err := ev.MulticastLB(p)
 	if err != nil {
 		return err
 	}
@@ -167,11 +168,12 @@ func figure5() error {
 	pl := platforms.Figure5()
 	p := pl.Problem()
 	fmt.Println("Figure 5 - the gap between the bounds reaches |Ptarget|")
-	ub, err := steady.ScatterUB(p)
+	ev := steady.NewEvaluator()
+	ub, err := ev.ScatterUB(p)
 	if err != nil {
 		return err
 	}
-	lb, err := steady.MulticastLB(p)
+	lb, err := ev.MulticastLB(p)
 	if err != nil {
 		return err
 	}
@@ -196,7 +198,7 @@ func figure12(seed int64) error {
 	if err != nil {
 		return err
 	}
-	ms, err := heur.AugmentedSources(p)
+	ms, err := heur.AugmentedSources(steady.NewEvaluator(), p)
 	if err != nil {
 		return err
 	}
@@ -226,7 +228,7 @@ func complexityTable() error {
 			prev = v
 		}
 		t0 := time.Now()
-		if _, err := steady.BroadcastEB(g, s); err != nil {
+		if _, err := steady.NewEvaluator().BroadcastEB(g, s); err != nil {
 			return err
 		}
 		dBC := time.Since(t0)

@@ -35,12 +35,13 @@ func main() {
 	}
 
 	// The two LP bounds of the paper: scatter (achievable) and the
-	// optimistic lower bound on the period.
-	ub, err := steady.ScatterUB(problem)
+	// optimistic lower bound on the period, solved on one evaluator.
+	ev := steady.NewEvaluator()
+	ub, err := ev.ScatterUB(problem)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lb, err := steady.MulticastLB(problem)
+	lb, err := ev.MulticastLB(problem)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -50,8 +50,9 @@ type Config struct {
 	// (platform, density) task derives its own generator from Seed and
 	// the task coordinates, so results do not depend on Workers.
 	Seed int64
-	// Heuristics to run; nil means heur.All(). An empty non-nil slice
-	// runs only the three baselines.
+	// Heuristics to run; nil means the paper's registry, bound to each
+	// task's evaluator (heur.AllWith). An empty non-nil slice runs only
+	// the three baselines.
 	Heuristics []heur.Heuristic
 	// Workers is the number of concurrent sweep workers; values < 1
 	// mean runtime.GOMAXPROCS(0).
@@ -128,13 +129,6 @@ func NewRNG(seed int64, coords ...int) *rand.Rand {
 // derives source-qualified platform IDs with it).
 func Mix64(z uint64) uint64 { return splitmix(z) }
 
-// taskSeed derives the deterministic per-task RNG seed from the sweep
-// seed and the task coordinates, mixing through splitmix64 so that
-// neighbouring tasks get uncorrelated streams.
-func taskSeed(seed int64, platform, densityIndex int) int64 {
-	return DeriveSeed(seed, platform, densityIndex)
-}
-
 func splitmix(z uint64) uint64 {
 	z ^= z >> 30
 	z *= 0xbf58476d1ce4e5b9
@@ -210,7 +204,7 @@ func Sweep(cfg Config) ([]TaskResult, error) {
 		}
 		return func(i int) {
 			t := tasks[i]
-			rng := rand.New(rand.NewSource(taskSeed(cfg.Seed, t.Platform, t.DensityIndex)))
+			rng := NewRNG(cfg.Seed, t.Platform, t.DensityIndex)
 			ev.Reset()
 			results[i] = runTask(platforms[t.Platform], t, hs, rng, ev)
 		}

@@ -21,7 +21,7 @@ func detConfig(workers int) Config {
 		Platforms:  2,
 		Densities:  []float64{0.2, 0.8},
 		Seed:       7,
-		Heuristics: heur.All()[:1], // MCPH
+		Heuristics: []heur.Heuristic{{Name: "MCPH", Run: heur.MCPH}},
 		Workers:    workers,
 	}
 }
@@ -169,14 +169,14 @@ func TestTaskSeedDistinct(t *testing.T) {
 	seen := map[int64][2]int{}
 	for pi := 0; pi < 50; pi++ {
 		for di := 0; di < 50; di++ {
-			s := taskSeed(1, pi, di)
+			s := DeriveSeed(1, pi, di)
 			if prev, dup := seen[s]; dup {
 				t.Fatalf("seed collision: (%d,%d) and (%d,%d) -> %d", prev[0], prev[1], pi, di, s)
 			}
 			seen[s] = [2]int{pi, di}
 		}
 	}
-	if taskSeed(1, 2, 3) == taskSeed(2, 2, 3) {
+	if DeriveSeed(1, 2, 3) == DeriveSeed(2, 2, 3) {
 		t.Error("base seed does not influence task seed")
 	}
 }

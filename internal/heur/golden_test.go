@@ -48,7 +48,7 @@ func TestHeuristicsGoldenFigure4(t *testing.T) {
 		{name: "Multisource MC", period: 2, sources: []graph.NodeID{c1}},
 	}
 
-	hs := All()
+	hs := AllWith(steady.NewEvaluator())
 	if len(hs) != len(want) {
 		t.Fatalf("registry has %d heuristics, want %d", len(hs), len(want))
 	}
@@ -82,30 +82,30 @@ func TestHeuristicsGoldenFigure4(t *testing.T) {
 }
 
 // TestHeuristicsGoldenStableAcrossSharedEvaluator re-runs the registry
-// on one shared evaluator and checks the results are identical to the
-// private-evaluator runs — caching and pooled warm starts must never
-// change heuristic output.
+// on one shared evaluator and checks the results are identical to
+// runs that give every heuristic a private evaluator — caching and
+// pooled warm starts must never change heuristic output.
 func TestHeuristicsGoldenStableAcrossSharedEvaluator(t *testing.T) {
 	pl := platforms.Figure4()
 	p := pl.Problem()
 	ev := steady.NewEvaluator()
-	private := All()
 	shared := AllWith(ev)
-	for i := range private {
-		a, err := private[i].Run(p)
+	for i, h := range shared {
+		private := AllWith(steady.NewEvaluator())[i]
+		a, err := private.Run(p)
 		if err != nil {
-			t.Fatalf("%s (private): %v", private[i].Name, err)
+			t.Fatalf("%s (private): %v", private.Name, err)
 		}
-		b, err := shared[i].Run(p)
+		b, err := h.Run(p)
 		if err != nil {
-			t.Fatalf("%s (shared): %v", shared[i].Name, err)
+			t.Fatalf("%s (shared): %v", h.Name, err)
 		}
 		if !approx(a.Period, b.Period, 1e-9) {
-			t.Errorf("%s: private period %v vs shared %v", private[i].Name, a.Period, b.Period)
+			t.Errorf("%s: private period %v vs shared %v", private.Name, a.Period, b.Period)
 		}
 		if !reflect.DeepEqual(a.Kept, b.Kept) || !reflect.DeepEqual(a.Sources, b.Sources) {
 			t.Errorf("%s: private kept/sources %v/%v vs shared %v/%v",
-				private[i].Name, a.Kept, a.Sources, b.Kept, b.Sources)
+				private.Name, a.Kept, a.Sources, b.Kept, b.Sources)
 		}
 	}
 	st := ev.Stats()

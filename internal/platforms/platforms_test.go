@@ -23,7 +23,7 @@ func TestFigure1Claims(t *testing.T) {
 	pl := Figure1()
 	p := pl.Problem()
 
-	lb, err := steady.MulticastLB(p)
+	lb, err := lpEvaluator().MulticastLB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestFigure1Claims(t *testing.T) {
 		t.Errorf("optimal packing uses %d tree(s); the paper requires >= 2", len(pk.Trees))
 	}
 
-	ub, err := steady.ScatterUB(p)
+	ub, err := lpEvaluator().ScatterUB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,14 +140,14 @@ func checkMultiset(t *testing.T, what string, got, want []float64) {
 func TestFigure4Claims(t *testing.T) {
 	pl := Figure4()
 	p := pl.Problem()
-	ub, err := steady.ScatterUB(p)
+	ub, err := lpEvaluator().ScatterUB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !approx(ub.Throughput(), 1.0/3, 1e-6) {
 		t.Errorf("scatter throughput = %v, want 1/3", ub.Throughput())
 	}
-	lb, err := steady.MulticastLB(p)
+	lb, err := lpEvaluator().MulticastLB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +168,11 @@ func TestFigure4Claims(t *testing.T) {
 func TestFigure5Claims(t *testing.T) {
 	pl := Figure5()
 	p := pl.Problem()
-	ub, err := steady.ScatterUB(p)
+	ub, err := lpEvaluator().ScatterUB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, err := steady.MulticastLB(p)
+	lb, err := lpEvaluator().MulticastLB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,4 +200,12 @@ func TestPlatformProblemPanicsOnCorruption(t *testing.T) {
 		}
 	}()
 	pl.Problem()
+}
+
+// lpEvaluator returns a fresh evaluator with the tree fast path off, so
+// every bound it answers is a from-scratch LP solve.
+func lpEvaluator() *steady.Evaluator {
+	ev := steady.NewEvaluator()
+	ev.SetFastPath(false)
+	return ev
 }

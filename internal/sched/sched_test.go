@@ -85,7 +85,7 @@ func TestScatterScheduleRealisable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ub, err := steady.ScatterUB(p)
+	ub, err := lpEvaluator().ScatterUB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,4 +192,12 @@ func TestFromLoadsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// lpEvaluator returns a fresh evaluator with the tree fast path off, so
+// every bound it answers is a from-scratch LP solve.
+func lpEvaluator() *steady.Evaluator {
+	ev := steady.NewEvaluator()
+	ev.SetFastPath(false)
+	return ev
 }

@@ -275,16 +275,11 @@ func (e *Evaluator) Stats() SolveStats {
 
 // Fingerprint hashes the platform content the LP bounds depend on:
 // node count, activity mask, every edge's endpoints and cost, and the
-// edge disable mask. Two
-// graphs with equal fingerprints are interchangeable for every program
-// in this package, which is what the evaluator's result cache — and the
-// serving layer's platform registry and plan cache — key on.
-func Fingerprint(g *graph.Graph) uint64 { return fingerprintGraph(g) }
-
-// fingerprintGraph hashes the platform content an LP bound depends on:
-// node count, activity mask, every edge's endpoints and cost, and the
-// edge disable mask.
-func fingerprintGraph(g *graph.Graph) uint64 {
+// edge disable mask. Two graphs with equal fingerprints are
+// interchangeable for every program in this package, which is what the
+// evaluator's result cache — and the serving layer's platform registry
+// and plan cache — key on.
+func Fingerprint(g *graph.Graph) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(v uint64) {
@@ -367,10 +362,14 @@ func (e *Evaluator) lookup(key evalKey, compute func() (*Bound, error)) (*Bound,
 	return b, nil
 }
 
-// ScatterUB evaluates the Multicast-UB scatter bound, cached. On tree
-// platforms the bound is computed combinatorially (fastpath.go).
+// ScatterUB solves the paper's Multicast-UB program: the pessimistic
+// relaxation in which the messages bound for distinct targets are
+// counted separately on every link (a scatter). Its period is an upper
+// bound on the optimal multicast period, and the bound is achievable
+// (Section 5.1.2 of the paper). Results are cached; on tree platforms
+// the bound is computed combinatorially (fastpath.go).
 func (e *Evaluator) ScatterUB(p Problem) (*Bound, error) {
-	key := evalKey{progScatter, fingerprintGraph(p.G), p.Source, hashNodes(p.Targets, true)}
+	key := evalKey{progScatter, Fingerprint(p.G), p.Source, hashNodes(p.Targets, true)}
 	return e.lookup(key, func() (*Bound, error) {
 		if b, ok := e.treeBound(p, true); ok {
 			return b, nil
@@ -379,28 +378,37 @@ func (e *Evaluator) ScatterUB(p Problem) (*Bound, error) {
 	})
 }
 
-// MulticastLB evaluates the Multicast-LB lower bound, cached and
-// warm-started, seeding the cutting plane from the pooled cuts of
-// earlier related solves. On tree platforms the LP is skipped
-// entirely: the bound is the combinatorial Steiner-subtree period
-// (fastpath.go), cross-validated against the LP by the fast-path
-// tests and FuzzTreeVsLP.
+// MulticastLB solves the paper's Multicast-LB program: the optimistic
+// relaxation in which messages bound for distinct targets may share
+// links for free (n(e) = max_i x^i(e)). Its period is a lower bound on
+// the optimal multicast period, not achievable in general (Figure 4).
+// Results are cached, and the cutting plane is warm-started and seeded
+// from the pooled cuts of earlier related solves. On tree platforms the
+// LP is skipped entirely: the bound is the combinatorial
+// Steiner-subtree period (fastpath.go), cross-validated against the LP
+// by the fast-path tests and FuzzTreeVsLP.
 func (e *Evaluator) MulticastLB(p Problem) (*Bound, error) {
-	key := evalKey{progLB, fingerprintGraph(p.G), p.Source, hashNodes(p.Targets, true)}
+	key := evalKey{progLB, Fingerprint(p.G), p.Source, hashNodes(p.Targets, true)}
 	return e.lookup(key, func() (*Bound, error) {
 		if b, ok := e.treeBound(p, false); ok {
 			return b, nil
 		}
-		opts := LBOptions{Workspace: e.ws, WarmStart: true, sc: &e.sc}
-		opts.seeds = e.validCuts(p)
-		opts.onCut = func(t graph.NodeID, cut []int) { e.recordCut(p.Source, t, cut) }
-		return MulticastLBWith(p, opts)
+		return multicastLB(p, lbOptions{
+			ws:    e.ws,
+			sc:    &e.sc,
+			seeds: e.validCuts(p),
+			onCut: func(t graph.NodeID, cut []int) { e.recordCut(p.Source, t, cut) },
+		})
 	})
 }
 
-// BroadcastEB evaluates the exact broadcast period of the active
-// platform: Multicast-LB with every active node as a target (so it
-// shares cache entries and cut pools with MulticastLB).
+// BroadcastEB computes the optimal steady-state broadcast period on the
+// active part of g: Multicast-LB with every active node (except the
+// source) as a target, so it shares cache entries and cut pools with
+// MulticastLB. The paper (with [6, 5]) proves this bound is achieved
+// by an actual broadcast schedule, so the returned period is exact. If
+// some active node is unreachable the result is +Inf, the convention
+// used by the REDUCED BROADCAST heuristic.
 func (e *Evaluator) BroadcastEB(g *graph.Graph, source graph.NodeID) (*Bound, error) {
 	if !g.Active(source) {
 		return infeasibleBound(), nil
@@ -421,11 +429,26 @@ func (e *Evaluator) BroadcastEB(g *graph.Graph, source graph.NodeID) (*Bound, er
 	return e.MulticastLB(p)
 }
 
-// MultiSourceUB evaluates MulticastMultiSource-UB, cached and seeded
-// from the pooled path columns of earlier promotion trials.
+// MultiSourceUB solves the paper's MulticastMultiSource-UB program
+// (Section 5.2.3): a scatter-like multicast in which an ordered list of
+// intermediate sources {s_0 = Psource, s_1, ..., s_l} relays full
+// copies of the message. Each intermediate source s_i must receive the
+// entire message from strictly earlier sources (equations (1)/(2) of
+// the program; pipelining makes the ordering legal in steady state),
+// and every other target receives the entire message as a sum of
+// contributions from the intermediate sources (equations (1b)/(2b)).
+// Link occupation counts every commodity separately (equation (10)),
+// so the resulting period is achievable by an actual schedule, like
+// the plain scatter bound.
+//
+// extras lists the intermediate sources other than p.Source, in the
+// order the AUGMENTED SOURCES heuristic promoted them. With no extras
+// the program reduces to ScatterUB. Results are cached, and the column
+// generation is seeded from the pooled path columns of earlier
+// promotion trials.
 func (e *Evaluator) MultiSourceUB(p Problem, extras []graph.NodeID) (*Bound, error) {
 	aux := hashNodes(p.Targets, true) ^ (hashNodes(extras, false) * 0x9e3779b97f4a7c15)
-	key := evalKey{progMultiSource, fingerprintGraph(p.G), p.Source, aux}
+	key := evalKey{progMultiSource, Fingerprint(p.G), p.Source, aux}
 	return e.lookup(key, func() (*Bound, error) {
 		opts := msOptions{ws: e.ws, seeds: e.paths[p.Source]}
 		opts.onPath = func(origin, dest graph.NodeID, edges []int) { e.recordPath(p.Source, origin, dest, edges) }
@@ -456,32 +479,6 @@ func (e *Evaluator) AddNodeBroadcast(g *graph.Graph, source, add graph.NodeID) (
 	g.Activate(add)
 	defer g.Deactivate(add)
 	return e.BroadcastEB(g, source)
-}
-
-// DropEdgeMulticast evaluates Multicast-LB with one edge removed — a
-// single link failure, the edge counterpart of DropNodeBroadcast —
-// restoring the edge mask before returning. Pooled cuts whose edge
-// sets survive the removal keep seeding the cutting plane, so failure
-// trials re-solve warm instead of re-peeling every cut.
-func (e *Evaluator) DropEdgeMulticast(p Problem, edge int) (*Bound, error) {
-	if p.G.EdgeDisabled(edge) {
-		return e.MulticastLB(p)
-	}
-	p.G.DisableEdge(edge)
-	defer p.G.EnableEdge(edge)
-	return e.MulticastLB(p)
-}
-
-// ScaleEdgeMulticast evaluates Multicast-LB with one edge's cost
-// multiplied by factor (> 1 models a degraded link), restoring the
-// original cost before returning. A cost change never invalidates a
-// pooled cut — cuts are edge sets, not costs — so degradation trials
-// inherit the baseline's full cut pool.
-func (e *Evaluator) ScaleEdgeMulticast(p Problem, edge int, factor float64) (*Bound, error) {
-	old := p.G.Edge(edge).Cost
-	p.G.SetEdgeCost(edge, old*factor)
-	defer p.G.SetEdgeCost(edge, old)
-	return e.MulticastLB(p)
 }
 
 // PromoteSource evaluates MulticastMultiSource-UB with one more

@@ -9,9 +9,10 @@ import (
 	"repro/internal/tiers"
 )
 
-// TestEvaluatorMatchesDirectCalls checks every Evaluator program
-// against its package-level counterpart on random platforms: caching,
-// workspace reuse and pooled warm starts must not change any value.
+// TestEvaluatorMatchesDirectCalls checks every program of one shared
+// Evaluator against the same program on a fresh forced-LP evaluator on
+// random platforms: caching, workspace reuse and pooled warm starts
+// must not change any value.
 func TestEvaluatorMatchesDirectCalls(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 15; trial++ {
@@ -32,10 +33,10 @@ func TestEvaluatorMatchesDirectCalls(t *testing.T) {
 			}
 		}
 		checks := []pair{
-			{"ScatterUB", func() (*Bound, error) { return ev.ScatterUB(p) }, func() (*Bound, error) { return ScatterUB(p) }},
-			{"MulticastLB", func() (*Bound, error) { return ev.MulticastLB(p) }, func() (*Bound, error) { return MulticastLB(p) }},
-			{"BroadcastEB", func() (*Bound, error) { return ev.BroadcastEB(p.G, p.Source) }, func() (*Bound, error) { return BroadcastEB(p.G, p.Source) }},
-			{"MultiSourceUB", func() (*Bound, error) { return ev.MultiSourceUB(p, extra) }, func() (*Bound, error) { return MultiSourceUB(p, extra) }},
+			{"ScatterUB", func() (*Bound, error) { return ev.ScatterUB(p) }, func() (*Bound, error) { return lpEvaluator().ScatterUB(p) }},
+			{"MulticastLB", func() (*Bound, error) { return ev.MulticastLB(p) }, func() (*Bound, error) { return lpEvaluator().MulticastLB(p) }},
+			{"BroadcastEB", func() (*Bound, error) { return ev.BroadcastEB(p.G, p.Source) }, func() (*Bound, error) { return lpEvaluator().BroadcastEB(p.G, p.Source) }},
+			{"MultiSourceUB", func() (*Bound, error) { return ev.MultiSourceUB(p, extra) }, func() (*Bound, error) { return lpEvaluator().MultiSourceUB(p, extra) }},
 		}
 		for _, c := range checks {
 			got, err := c.got()
@@ -44,13 +45,13 @@ func TestEvaluatorMatchesDirectCalls(t *testing.T) {
 			}
 			ref, err := c.ref()
 			if err != nil {
-				t.Fatalf("trial %d: %s (direct): %v", trial, c.name, err)
+				t.Fatalf("trial %d: %s (reference): %v", trial, c.name, err)
 			}
 			if got.Infeasible() != ref.Infeasible() {
 				t.Fatalf("trial %d: %s: feasibility disagrees", trial, c.name)
 			}
 			if !got.Infeasible() && math.Abs(got.Period-ref.Period) > 1e-5*(1+ref.Period) {
-				t.Errorf("trial %d: %s: evaluator %v vs direct %v", trial, c.name, got.Period, ref.Period)
+				t.Errorf("trial %d: %s: evaluator %v vs reference %v", trial, c.name, got.Period, ref.Period)
 			}
 		}
 	}
@@ -105,7 +106,7 @@ func TestEvaluatorTrialOpsRestoreMask(t *testing.T) {
 		t.Fatal("DropNodeBroadcast left the node deactivated")
 	}
 	g.Deactivate(r)
-	want, err := BroadcastEB(g, s)
+	want, err := lpEvaluator().BroadcastEB(g, s)
 	g.Activate(r)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +124,7 @@ func TestEvaluatorTrialOpsRestoreMask(t *testing.T) {
 		t.Fatal("AddNodeBroadcast left the node activated")
 	}
 	g.Activate(r)
-	full, err := BroadcastEB(g, s)
+	full, err := lpEvaluator().BroadcastEB(g, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestEvaluatorTrialOpsRestoreMask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := MultiSourceUB(p, []graph.NodeID{r})
+	ref, err := lpEvaluator().MultiSourceUB(p, []graph.NodeID{r})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestEvaluatorWarmAndPooledCuts(t *testing.T) {
 	}
 	g2 := pl.G.Clone()
 	g2.Deactivate(drop)
-	want, err := BroadcastEB(g2, pl.Source)
+	want, err := lpEvaluator().BroadcastEB(g2, pl.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,10 +297,11 @@ func TestFingerprint(t *testing.T) {
 	}
 }
 
-// TestEvaluatorEdgeTrialOps checks DropEdgeMulticast and
-// ScaleEdgeMulticast: the trials evaluate the perturbed platform,
-// match direct solves on a mutated clone, and restore the edge mask
-// and costs before returning.
+// TestEvaluatorEdgeTrialOps checks edge perturbations the way the
+// what-if engine runs them, a graph.Delta applied around one
+// evaluation and then undone: the trials evaluate the perturbed
+// platform, match solves on a mutated clone, and the undo restores the
+// edge mask and costs.
 func TestEvaluatorEdgeTrialOps(t *testing.T) {
 	g := graph.New()
 	s := g.AddNode("S")
@@ -314,12 +316,12 @@ func TestEvaluatorEdgeTrialOps(t *testing.T) {
 	}
 	ev := NewEvaluator()
 
-	drop, err := ev.DropEdgeMulticast(p, sr)
+	drop, err := lbUnder(t, ev, p, graph.Delta{graph.DisableEdgeOp(sr)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.EdgeDisabled(sr) {
-		t.Fatal("DropEdgeMulticast left the edge disabled")
+		t.Fatal("undo left the edge disabled")
 	}
 	gd := g.Clone()
 	gd.DisableEdge(sr)
@@ -327,7 +329,7 @@ func TestEvaluatorEdgeTrialOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDrop, err := MulticastLB(pd)
+	wantDrop, err := lpEvaluator().MulticastLB(pd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,12 +337,12 @@ func TestEvaluatorEdgeTrialOps(t *testing.T) {
 		t.Errorf("drop-edge trial period %v, want %v", drop.Period, wantDrop.Period)
 	}
 
-	scale, err := ev.ScaleEdgeMulticast(p, sr, 10)
+	scale, err := lbUnder(t, ev, p, graph.Delta{graph.ScaleEdgeCostOp(sr, 10)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := g.Edge(sr).Cost; got != 1 {
-		t.Fatalf("ScaleEdgeMulticast left cost %v, want 1", got)
+		t.Fatalf("undo left cost %v, want 1", got)
 	}
 	gs := g.Clone()
 	gs.SetEdgeCost(sr, 10)
@@ -348,7 +350,7 @@ func TestEvaluatorEdgeTrialOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantScale, err := MulticastLB(ps)
+	wantScale, err := lpEvaluator().MulticastLB(ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,6 +369,18 @@ func TestEvaluatorEdgeTrialOps(t *testing.T) {
 	if scale.Period <= base.Period {
 		t.Errorf("degrading the relay edge did not hurt: %v <= %v", scale.Period, base.Period)
 	}
+}
+
+// lbUnder evaluates Multicast-LB on ev with d applied to p.G and
+// undoes d before returning, as whatif.Eval perturbs a platform.
+func lbUnder(t *testing.T, ev *Evaluator, p Problem, d graph.Delta) (*Bound, error) {
+	t.Helper()
+	undo, err := d.Apply(p.G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer undo.Apply(p.G)
+	return ev.MulticastLB(p)
 }
 
 // TestEvaluatorCloneIndependence pins the Clone contract: a clone

@@ -13,12 +13,12 @@ import (
 // Multicast-LB and Multicast-UB optima are port-occupation scans over
 // the Steiner subtree — no simplex, no cutting planes, O(V + E) per
 // bound. The evaluator consults the classifier on every non-cached
-// bound evaluation; because trial ops (DropEdgeMulticast,
-// ScaleEdgeMulticast, DropNodeBroadcast) mutate the graph before
-// re-evaluating, a what-if clone whose edge-disable mask turns the
-// platform into a tree picks the fast path up automatically — the
-// graph's mutation stamp invalidates the classifier memo and the next
-// classification sees the tree.
+// bound evaluation; because what-if scenarios (a graph.Delta applied
+// and undone around the evaluation) and the DropNodeBroadcast trial op
+// mutate the graph before re-evaluating, a what-if clone whose
+// edge-disable mask turns the platform into a tree picks the fast path
+// up automatically — the graph's mutation stamp invalidates the
+// classifier memo and the next classification sees the tree.
 //
 // Dispatch policy: the classifier errs toward ClassGeneral (parallel
 // edges, cross links, anything structurally ambiguous), and
@@ -33,9 +33,6 @@ import (
 // through the LP — the reference configuration the cross-validation
 // tests, the forced-LP what-if runs and the benchmark baselines use.
 func (e *Evaluator) SetFastPath(on bool) { e.noFastPath = !on }
-
-// FastPath reports whether the tree fast path is enabled.
-func (e *Evaluator) FastPath() bool { return !e.noFastPath }
 
 // treeBound answers a bound evaluation combinatorially when the
 // platform classifies as a tree rooted at p.Source. The boolean

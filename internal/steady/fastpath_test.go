@@ -197,22 +197,23 @@ func TestTrialOpsTakeFastPath(t *testing.T) {
 		// what-if trial must pick the fast path up mid-flight, through
 		// the stamp-invalidated classifier.
 		before := evFast.Stats()
-		fast, err1 := evFast.DropEdgeMulticast(p, chord)
-		ref, err2 := evLP.DropEdgeMulticast(p, chord)
+		dropChord := graph.Delta{graph.DisableEdgeOp(chord)}
+		fast, err1 := lbUnder(t, evFast, p, dropChord)
+		ref, err2 := lbUnder(t, evLP, p, dropChord)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("trial %d: %v / %v", trial, err1, err2)
 		}
-		requireAgreement(t, "DropEdgeMulticast", fast, ref, 1e-9)
+		requireAgreement(t, "drop-edge trial", fast, ref, 1e-9)
 		d := evFast.Stats().Delta(before)
 		if d.FastPathHits != 1 {
-			t.Fatalf("trial %d: DropEdgeMulticast fast-path hits = %d, want 1", trial, d.FastPathHits)
+			t.Fatalf("trial %d: drop-edge trial fast-path hits = %d, want 1", trial, d.FastPathHits)
 		}
 		if d.Solves != 0 {
-			t.Fatalf("trial %d: DropEdgeMulticast ran %d LP solves on a tree", trial, d.Solves)
+			t.Fatalf("trial %d: drop-edge trial ran %d LP solves on a tree", trial, d.Solves)
 		}
 
-		// The mask is restored on return, so the same evaluator now
-		// sees the chorded platform again and must fall back.
+		// The undo restores the mask, so the same evaluator now sees
+		// the chorded platform again and must fall back.
 		before = evFast.Stats()
 		fast, err1 = evFast.MulticastLB(p)
 		ref, err2 = evLP.MulticastLB(p)
@@ -239,12 +240,13 @@ func TestScaleAndDropNodeFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for edge := 0; edge < g.NumEdges(); edge += 3 {
-		fast, err1 := evFast.ScaleEdgeMulticast(p, edge, 2.5)
-		ref, err2 := evLP.ScaleEdgeMulticast(p, edge, 2.5)
+		degrade := graph.Delta{graph.ScaleEdgeCostOp(edge, 2.5)}
+		fast, err1 := lbUnder(t, evFast, p, degrade)
+		ref, err2 := lbUnder(t, evLP, p, degrade)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("edge %d: %v / %v", edge, err1, err2)
 		}
-		requireAgreement(t, "ScaleEdgeMulticast", fast, ref, 1e-9)
+		requireAgreement(t, "scale-edge trial", fast, ref, 1e-9)
 	}
 	// Dropping a leaf keeps the rest reachable; dropping an internal
 	// node cuts its subtree off and broadcast must go infeasible. Both
@@ -278,8 +280,9 @@ func TestFastPathInfeasibleOnMaskedTree(t *testing.T) {
 	}
 	evFast := NewEvaluator()
 	evLP := lpEvaluator()
-	fast, err1 := evFast.DropEdgeMulticast(p, e1)
-	ref, err2 := evLP.DropEdgeMulticast(p, e1)
+	drop := graph.Delta{graph.DisableEdgeOp(e1)}
+	fast, err1 := lbUnder(t, evFast, p, drop)
+	ref, err2 := lbUnder(t, evLP, p, drop)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("%v / %v", err1, err2)
 	}
@@ -319,30 +322,32 @@ func TestSetFastPathToggleAndClone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Each phase Resets first, so the bound is computed rather than
+	// answered from the cache, and reads the switch off the stats.
 	ev := NewEvaluator()
-	if !ev.FastPath() {
-		t.Fatal("fast path should be on by default")
+	lb := func(e *Evaluator) SolveStats {
+		t.Helper()
+		e.Reset()
+		before := e.Stats()
+		if _, err := e.MulticastLB(p); err != nil {
+			t.Fatal(err)
+		}
+		return e.Stats().Delta(before)
+	}
+	if d := lb(ev); d.FastPathHits != 1 || d.Solves != 0 {
+		t.Fatalf("fast path should be on by default: hits=%d solves=%d", d.FastPathHits, d.Solves)
 	}
 	ev.SetFastPath(false)
-	if ev.FastPath() {
-		t.Fatal("SetFastPath(false) did not stick")
+	if d := lb(ev); d.FastPathHits != 0 || d.Solves == 0 {
+		t.Fatalf("SetFastPath(false) did not stick: hits=%d solves=%d", d.FastPathHits, d.Solves)
 	}
 	clone := ev.Clone()
-	if clone.FastPath() {
-		t.Error("clone did not inherit the fast-path switch")
-	}
-	if _, err := clone.MulticastLB(p); err != nil {
-		t.Fatal(err)
-	}
-	if s := clone.Stats(); s.Solves == 0 || s.FastPathHits != 0 {
-		t.Errorf("forced-LP clone: solves=%d hits=%d, want LP-only", s.Solves, s.FastPathHits)
+	if d := lb(clone); d.Solves == 0 || d.FastPathHits != 0 {
+		t.Errorf("clone did not inherit the fast-path switch: solves=%d hits=%d, want LP-only", d.Solves, d.FastPathHits)
 	}
 	ev.SetFastPath(true)
-	if _, err := ev.MulticastLB(p); err != nil {
-		t.Fatal(err)
-	}
-	if s := ev.Stats(); s.FastPathHits != 1 {
-		t.Errorf("re-enabled fast path hits = %d, want 1", s.FastPathHits)
+	if d := lb(ev); d.FastPathHits != 1 {
+		t.Errorf("re-enabled fast path hits = %d, want 1", d.FastPathHits)
 	}
 }
 

@@ -9,38 +9,6 @@ import (
 	"repro/internal/lp"
 )
 
-// MultiSourceUB solves the paper's MulticastMultiSource-UB program
-// (Section 5.2.3): a scatter-like multicast in which an ordered list of
-// intermediate sources {s_0 = Psource, s_1, ..., s_l} relays full
-// copies of the message. Each intermediate source s_i must receive the
-// entire message from strictly earlier sources (equations (1)/(2) of
-// the program; pipelining makes the ordering legal in steady state),
-// and every other target receives the entire message as a sum of
-// contributions from the intermediate sources (equations (1b)/(2b)).
-// Link occupation counts every commodity separately (equation (10)),
-// so the resulting period is achievable by an actual schedule, like
-// the plain scatter bound.
-//
-// extras lists the intermediate sources other than p.Source, in the
-// order the AUGMENTED SOURCES heuristic promoted them. With no extras
-// the program reduces to ScatterUB.
-//
-// Implementation note: the paper's edge-flow formulation carries one
-// conservation row per (origin, node) pair with a zero right-hand
-// side; at platform scale that produces a degenerate plateau that
-// wrecks the simplex. Since every commodity is an origin-to-destination
-// flow, the program is solved here in its equivalent path form by
-// column generation (flow decomposition equivalence, DESIGN.md Section
-// 4.3): the master LP has one convexity row per destination plus the
-// one-port rows, and the pricing problem is a cheapest path under
-// dual-adjusted edge costs, solved by one Dijkstra per origin. The
-// master is built once and only grows: every pricing round appends its
-// improving paths as columns (lp.Model.AddColumn) and re-solves warm
-// from the previous basis.
-func MultiSourceUB(p Problem, extras []graph.NodeID) (*Bound, error) {
-	return multiSourceUB(p, extras, msOptions{})
-}
-
 // msOptions threads Evaluator state through the multisource solver:
 // a reusable workspace, pooled path columns from earlier related
 // solves, and an observer for newly priced-in paths.
@@ -58,6 +26,21 @@ type pooledPath struct {
 	edges        []int
 }
 
+// multiSourceUB solves MulticastMultiSource-UB (see
+// Evaluator.MultiSourceUB).
+//
+// Implementation note: the paper's edge-flow formulation carries one
+// conservation row per (origin, node) pair with a zero right-hand
+// side; at platform scale that produces a degenerate plateau that
+// wrecks the simplex. Since every commodity is an origin-to-destination
+// flow, the program is solved here in its equivalent path form by
+// column generation (flow decomposition equivalence, DESIGN.md Section
+// 4.3): the master LP has one convexity row per destination plus the
+// one-port rows, and the pricing problem is a cheapest path under
+// dual-adjusted edge costs, solved by one Dijkstra per origin. The
+// master is built once and only grows: every pricing round appends its
+// improving paths as columns (lp.Model.AddColumn) and re-solves warm
+// from the previous basis.
 func multiSourceUB(p Problem, extras []graph.NodeID, opts msOptions) (*Bound, error) {
 	g := p.G
 	origins := append([]graph.NodeID{p.Source}, extras...)
@@ -148,10 +131,6 @@ func multiSourceUB(p Problem, extras []graph.NodeID, opts msOptions) (*Bound, er
 		addPath(di, g.WalkBack(parent, d.node), p.Source)
 	}
 
-	ws := opts.ws
-	if ws == nil {
-		ws = lp.NewWorkspace()
-	}
 	bound := &Bound{}
 	var basis lp.Basis
 	const maxRounds = 400
@@ -159,7 +138,7 @@ func multiSourceUB(p Problem, extras []graph.NodeID, opts msOptions) (*Bound, er
 		if round >= maxRounds {
 			return nil, errors.New("steady: MultiSourceUB column generation did not converge")
 		}
-		period, loads, mu, alpha, beta, err := m.solve(ws, &basis, bound, pool)
+		period, loads, mu, alpha, beta, err := m.solve(opts.ws, &basis, bound, pool)
 		if err != nil {
 			return nil, err
 		}

@@ -55,7 +55,7 @@ type ReplanResult struct {
 }
 
 // Replan applies delta to p.G in place — permanently, unlike the
-// trial ops (DropEdgeMulticast etc.), which restore the graph before
+// trial ops (DropNodeBroadcast etc.), which restore the graph before
 // returning — and re-evaluates the multicast bounds warm on e. On any
 // error (invalid delta, or the delta invalidated the problem by
 // dropping the source or a target) the delta is rolled back and p.G is

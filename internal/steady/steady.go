@@ -129,10 +129,9 @@ func infeasibleBound() *Bound { return &Bound{Period: math.Inf(1)} }
 // scratch pools the per-evaluation buffers of the steady-state
 // programs: the flow solver's residual network, active-edge and node
 // ID lists, the edge-to-variable index, LP term builders, and the
-// BFS/layer-cut workspaces. An Evaluator owns one, so long heuristic
-// runs stop reallocating these on every trial evaluation; the
-// package-level entry points use a private one per call, which keeps
-// their behaviour (and their outputs, bit for bit) unchanged.
+// BFS/layer-cut workspaces. Every solve runs on an Evaluator, which
+// owns one, so long heuristic runs stop reallocating these on every
+// trial evaluation.
 type scratch struct {
 	flow     flow.Solver
 	edges    []int     // active-edge ID buffer
@@ -189,23 +188,12 @@ func addPortRows(m *lp.Model, g *graph.Graph, varOf []int32, sc *scratch) {
 	}
 }
 
-// ScatterUB solves the paper's Multicast-UB program: the pessimistic
-// relaxation in which the messages bound for distinct targets are
-// counted separately on every link (a scatter). Its period is an upper
-// bound on the optimal multicast period, and the bound is achievable
-// (Section 5.1.2 of the paper).
-func ScatterUB(p Problem) (*Bound, error) { return scatterUB(p, nil, nil) }
-
-// scatterUB is ScatterUB on a caller-supplied LP workspace and scratch
-// (nil for private ones); the Evaluator routes through it to reuse
-// allocations across a whole heuristic run.
+// scatterUB solves Multicast-UB (see Evaluator.ScatterUB) on the
+// evaluator's LP workspace and scratch.
 func scatterUB(p Problem, ws *lp.Workspace, sc *scratch) (*Bound, error) {
 	g := p.G
 	if !g.ReachesAll(p.Source, p.Targets) {
 		return infeasibleBound(), nil
-	}
-	if sc == nil {
-		sc = &scratch{}
 	}
 	m := lp.NewModel()
 	m.Maximize()
@@ -265,47 +253,20 @@ func scatterUB(p Problem, ws *lp.Workspace, sc *scratch) (*Bound, error) {
 	return b, nil
 }
 
-// MulticastLB solves the paper's Multicast-LB program: the optimistic
-// relaxation in which messages bound for distinct targets may share
-// links for free (n(e) = max_i x^i(e)). Its period is a lower bound on
-// the optimal multicast period, not achievable in general (Figure 4).
-//
-// Two equivalent formulations are used depending on the target count.
-// Sparse target sets use the paper's direct per-target formulation
-// (polynomial but |targets|*|edges| variables); dense sets use the
-// cut-covering master with min-cut separation, which is tiny and
-// converges quickly when most nodes are targets but wanders through
-// near-duplicate cuts when they are sparse. Both were cross-validated
-// to produce identical values.
-func MulticastLB(p Problem) (*Bound, error) {
-	return MulticastLBWith(p, LBOptions{WarmStart: true})
-}
-
-// LBOptions tunes the Multicast-LB solver (and BroadcastEBWith, which
-// is Multicast-LB over the full platform).
-type LBOptions struct {
-	// Workspace, when non-nil, supplies the reusable LP workspace; the
-	// zero value allocates a private one. A workspace must not be
-	// shared between goroutines.
-	Workspace *lp.Workspace
-	// WarmStart re-solves each cutting-plane round from the previous
-	// round's optimal basis — the appended cut rows are repaired by
-	// dual-simplex pivots — instead of re-solving the master from
-	// scratch. MulticastLB enables it; disabling it gives the cold
-	// baseline the benchmarks compare against.
-	WarmStart bool
-	// NoPresolve skips the LP presolve reductions on every model this
-	// solve builds — the un-presolved baseline the tree fast-path
-	// benchmarks compare against.
-	NoPresolve bool
-
-	// seeds are pre-validated source->target cuts used to prime the cut
-	// pool (Evaluator reuse across related platforms); onCut observes
-	// every cut the separation generates; sc supplies the pooled
-	// evaluation scratch (nil allocates a private one per call).
-	seeds []seedCut
-	onCut func(target graph.NodeID, cut []int)
-	sc    *scratch
+// lbOptions carries one Multicast-LB solve's workspace, scratch and
+// cut-pool hooks. seeds are pre-validated source->target cuts that
+// prime the cut pool; onCut observes every cut the separation
+// generates. cold (re-solve every cutting-plane round from scratch
+// instead of warm-starting from the previous round's basis) and
+// noPresolve (skip the LP presolve) select the reference
+// configurations the solver benchmarks compare against; the evaluator
+// leaves both off.
+type lbOptions struct {
+	ws               *lp.Workspace
+	sc               *scratch
+	cold, noPresolve bool
+	seeds            []seedCut
+	onCut            func(target graph.NodeID, cut []int)
 }
 
 type seedCut struct {
@@ -313,38 +274,38 @@ type seedCut struct {
 	edges  []int
 }
 
-// MulticastLBWith is MulticastLB with explicit solver options. Both
-// formulations honour the workspace; WarmStart only concerns the
-// cutting-plane regime (the direct form is a single solve).
-func MulticastLBWith(p Problem, opts LBOptions) (*Bound, error) {
+// multicastLB solves Multicast-LB (see Evaluator.MulticastLB) in one
+// of two equivalent formulations, chosen by the target count. Sparse
+// target sets use the paper's direct per-target formulation
+// (polynomial but |targets|*|edges| variables); dense sets use the
+// cut-covering master with min-cut separation, which is tiny and
+// converges quickly when most nodes are targets but wanders through
+// near-duplicate cuts when they are sparse. Both were cross-validated
+// to produce identical values. Either way opts.sc.edges holds the
+// active edges on entry to the formulation.
+func multicastLB(p Problem, opts lbOptions) (*Bound, error) {
 	g := p.G
 	if !g.ReachesAll(p.Source, p.Targets) {
 		return infeasibleBound(), nil
 	}
 	// Estimated direct-formulation row count; below the cap the direct
 	// LP is cheap and immune to cut thrashing.
-	if opts.sc == nil {
-		opts.sc = &scratch{}
-	}
 	nodes := g.NumActive()
 	opts.sc.edges = g.AppendActiveEdges(opts.sc.edges[:0])
 	arcs := len(opts.sc.edges)
 	if len(p.Targets)*(nodes+arcs)+2*nodes <= 4600 {
-		return multicastLBDirect(p, opts.Workspace, opts.sc, opts.NoPresolve)
+		return multicastLBDirect(p, opts)
 	}
 	return multicastLBCuts(p, opts)
 }
 
 // multicastLBCuts solves Multicast-LB by cut-covering with min-cut
-// separation (the dense-target regime of MulticastLB). The master LP is
-// built once and then only grows: every separation round appends its
-// violated cut rows to the same model and, under opts.WarmStart,
+// separation (the dense-target regime of multicastLB). The master LP
+// is built once and then only grows: every separation round appends
+// its violated cut rows to the same model and, unless opts.cold,
 // re-solves from the previous round's basis.
-func multicastLBCuts(p Problem, opts LBOptions) (*Bound, error) {
+func multicastLBCuts(p Problem, opts lbOptions) (*Bound, error) {
 	g := p.G
-	if !g.ReachesAll(p.Source, p.Targets) {
-		return infeasibleBound(), nil
-	}
 	// Normalise the edge costs for conditioning: with c <= 1 the
 	// optimal rho is O(1) instead of O(1/maxCost).
 	scale := g.MaxCost()
@@ -353,13 +314,9 @@ func multicastLBCuts(p Problem, opts LBOptions) (*Bound, error) {
 	}
 
 	sc := opts.sc
-	if sc == nil {
-		sc = &scratch{}
-		sc.edges = g.AppendActiveEdges(sc.edges[:0])
-	}
 	edges := sc.edges
 	master := lp.NewModel()
-	master.SetPresolve(!opts.NoPresolve)
+	master.SetPresolve(!opts.noPresolve)
 	master.Maximize()
 	rhoVar := master.AddVar(1, "rho")
 	nVar := sc.growVarOf(g.NumEdges())
@@ -410,10 +367,7 @@ func multicastLBCuts(p Problem, opts LBOptions) (*Bound, error) {
 		layerCuts(g, p.Source, t, sc, func(cut []int) { addCut(t, cut) })
 	}
 
-	ws := opts.Workspace
-	if ws == nil {
-		ws = lp.NewWorkspace()
-	}
+	ws := opts.ws
 	bound := &Bound{}
 	var basis lp.Basis
 	if cap(sc.capacity) < g.NumEdges() {
@@ -430,7 +384,7 @@ func multicastLBCuts(p Problem, opts LBOptions) (*Bound, error) {
 		}
 		var sol *lp.Solution
 		var err error
-		if opts.WarmStart && !basis.Empty() {
+		if !opts.cold && !basis.Empty() {
 			sol, err = master.SolveFrom(ws, basis)
 		} else {
 			sol, err = master.SolveWith(ws)
@@ -563,60 +517,18 @@ func cutKey(cut []int) string {
 	return sb.String()
 }
 
-// BroadcastEB computes the optimal steady-state broadcast period on the
-// active part of g: Multicast-LB with every active node (except the
-// source) as a target. The paper (with [6, 5]) proves this bound is
-// achieved by an actual broadcast schedule, so the returned period is
-// exact. If some active node is unreachable the result is +Inf, the
-// convention used by the REDUCED BROADCAST heuristic.
-func BroadcastEB(g *graph.Graph, source graph.NodeID) (*Bound, error) {
-	return BroadcastEBWith(g, source, LBOptions{WarmStart: true})
-}
-
-// BroadcastEBWith is BroadcastEB with explicit solver options (see
-// LBOptions).
-func BroadcastEBWith(g *graph.Graph, source graph.NodeID, opts LBOptions) (*Bound, error) {
-	if !g.Active(source) {
-		return infeasibleBound(), nil
-	}
-	var targets []graph.NodeID
-	for _, v := range g.ActiveNodes() {
-		if v != source {
-			targets = append(targets, v)
-		}
-	}
-	if len(targets) == 0 {
-		return &Bound{Period: 0, EdgeLoad: make([]float64, g.NumEdges())}, nil
-	}
-	p, err := NewProblem(g, source, targets)
-	if err != nil {
-		return nil, err
-	}
-	return MulticastLBWith(p, opts)
-}
-
 // RecoverUnitFlows reconstructs the per-target variables x^i of the
 // paper's LPs from a load profile: for every target it returns a unit
 // s->target flow supported by load (per-edge capacities). Targets whose
 // max-flow falls short of one unit (possible only through numerical
-// noise) are returned with their maximum flow instead.
-func RecoverUnitFlows(g *graph.Graph, load []float64, source graph.NodeID, targets []graph.NodeID) map[graph.NodeID][]float64 {
-	var sv flow.Solver
-	return recoverUnitFlows(&sv, g, load, source, targets)
-}
-
-// RecoverUnitFlows on an Evaluator reuses the evaluator's pooled flow
-// solver, so heuristic scoring passes stop rebuilding one residual
-// network per target. The per-target flow slices are fresh (callers
-// retain them); only the solver scratch is shared.
+// noise) are returned with their maximum flow instead. The evaluator's
+// pooled flow solver is reused, so heuristic scoring passes stop
+// rebuilding one residual network per target; the per-target flow
+// slices are fresh (callers retain them).
 func (e *Evaluator) RecoverUnitFlows(g *graph.Graph, load []float64, source graph.NodeID, targets []graph.NodeID) map[graph.NodeID][]float64 {
-	return recoverUnitFlows(&e.sc.flow, g, load, source, targets)
-}
-
-func recoverUnitFlows(sv *flow.Solver, g *graph.Graph, load []float64, source graph.NodeID, targets []graph.NodeID) map[graph.NodeID][]float64 {
 	out := make(map[graph.NodeID][]float64, len(targets))
 	for _, t := range targets {
-		_, f := sv.MaxFlowUpTo(g, load, source, t, 1, nil)
+		_, f := e.sc.flow.MaxFlowUpTo(g, load, source, t, 1, nil)
 		out[t] = f
 	}
 	return out

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/lp"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -89,7 +90,7 @@ func TestNewProblemValidation(t *testing.T) {
 }
 
 func TestScatterUBStar(t *testing.T) {
-	b, err := ScatterUB(star(t))
+	b, err := lpEvaluator().ScatterUB(star(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestScatterUBStar(t *testing.T) {
 }
 
 func TestMulticastLBStar(t *testing.T) {
-	b, err := MulticastLB(star(t))
+	b, err := lpEvaluator().MulticastLB(star(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +114,11 @@ func TestMulticastLBStar(t *testing.T) {
 
 func TestFigure5Gap(t *testing.T) {
 	p := relay(t)
-	ub, err := ScatterUB(p)
+	ub, err := lpEvaluator().ScatterUB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, err := MulticastLB(p)
+	lb, err := lpEvaluator().MulticastLB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +135,11 @@ func TestFigure5Gap(t *testing.T) {
 
 func TestChainBounds(t *testing.T) {
 	p := chain(t)
-	ub, err := ScatterUB(p)
+	ub, err := lpEvaluator().ScatterUB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, err := MulticastLB(p)
+	lb, err := lpEvaluator().MulticastLB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestBroadcastEBTwoNodes(t *testing.T) {
 	s := g.AddNode("S")
 	a := g.AddNode("a")
 	g.AddEdge(s, a, 2)
-	b, err := BroadcastEB(g, s)
+	b, err := lpEvaluator().BroadcastEB(g, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestBroadcastEBTwoNodes(t *testing.T) {
 func TestBroadcastEBSingleNode(t *testing.T) {
 	g := graph.New()
 	s := g.AddNode("S")
-	b, err := BroadcastEB(g, s)
+	b, err := lpEvaluator().BroadcastEB(g, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +188,8 @@ func TestUnreachableIsInfeasible(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, f := range map[string]func(Problem) (*Bound, error){
-		"ScatterUB":   ScatterUB,
-		"MulticastLB": MulticastLB,
+		"ScatterUB":   lpEvaluator().ScatterUB,
+		"MulticastLB": lpEvaluator().MulticastLB,
 	} {
 		b, err := f(p)
 		if err != nil {
@@ -198,14 +199,14 @@ func TestUnreachableIsInfeasible(t *testing.T) {
 			t.Errorf("%s: expected infeasible, got period %v", name, b.Period)
 		}
 	}
-	bb, err := BroadcastEB(g, s)
+	bb, err := lpEvaluator().BroadcastEB(g, s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bb.Infeasible() {
 		t.Error("BroadcastEB: expected infeasible")
 	}
-	ms, err := MultiSourceUB(p, nil)
+	ms, err := lpEvaluator().MultiSourceUB(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,11 +217,11 @@ func TestUnreachableIsInfeasible(t *testing.T) {
 
 func TestMultiSourceEqualsScatterWithoutExtras(t *testing.T) {
 	for _, p := range []Problem{star(t), relay(t), chain(t)} {
-		ub, err := ScatterUB(p)
+		ub, err := lpEvaluator().ScatterUB(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms, err := MultiSourceUB(p, nil)
+		ms, err := lpEvaluator().MultiSourceUB(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +236,7 @@ func TestMultiSourceRelayPromotion(t *testing.T) {
 	// optimal period 1 that the plain scatter bound misses by 3x.
 	p := relay(t)
 	hub, _ := p.G.NodeByName("A")
-	ms, err := MultiSourceUB(p, []graph.NodeID{hub})
+	ms, err := lpEvaluator().MultiSourceUB(p, []graph.NodeID{hub})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestMultiSourceRelayPromotion(t *testing.T) {
 func TestMultiSourceChainPromotion(t *testing.T) {
 	p := chain(t)
 	a, _ := p.G.NodeByName("a")
-	ms, err := MultiSourceUB(p, []graph.NodeID{a})
+	ms, err := lpEvaluator().MultiSourceUB(p, []graph.NodeID{a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,21 +260,22 @@ func TestMultiSourceChainPromotion(t *testing.T) {
 func TestMultiSourceValidation(t *testing.T) {
 	p := chain(t)
 	a, _ := p.G.NodeByName("a")
-	if _, err := MultiSourceUB(p, []graph.NodeID{a, a}); err == nil {
+	if _, err := lpEvaluator().MultiSourceUB(p, []graph.NodeID{a, a}); err == nil {
 		t.Error("duplicate extra source accepted")
 	}
-	if _, err := MultiSourceUB(p, []graph.NodeID{p.Source}); err == nil {
+	if _, err := lpEvaluator().MultiSourceUB(p, []graph.NodeID{p.Source}); err == nil {
 		t.Error("main source duplicated as extra accepted")
 	}
 }
 
 func TestRecoverUnitFlows(t *testing.T) {
 	p := relay(t)
-	lb, err := MulticastLB(p)
+	ev := lpEvaluator()
+	lb, err := ev.MulticastLB(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flows := RecoverUnitFlows(p.G, lb.EdgeLoad, p.Source, p.Targets)
+	flows := ev.RecoverUnitFlows(p.G, lb.EdgeLoad, p.Source, p.Targets)
 	if len(flows) != 3 {
 		t.Fatalf("got %d flows", len(flows))
 	}
@@ -331,12 +333,12 @@ func TestBoundOrderingProperty(t *testing.T) {
 		if !ok {
 			return true
 		}
-		ub, err := ScatterUB(p)
+		ub, err := lpEvaluator().ScatterUB(p)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		lb, err := MulticastLB(p)
+		lb, err := lpEvaluator().MulticastLB(p)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -356,7 +358,7 @@ func TestBoundOrderingProperty(t *testing.T) {
 			t.Logf("seed %d: UB %v > |T|*LB %v", seed, ub.Period, float64(len(p.Targets))*lb.Period)
 			return false
 		}
-		bc, err := BroadcastEB(p.G, p.Source)
+		bc, err := lpEvaluator().BroadcastEB(p.G, p.Source)
 		if err != nil {
 			return false
 		}
@@ -376,7 +378,7 @@ func TestBoundOrderingProperty(t *testing.T) {
 				break
 			}
 		}
-		ms, err := MultiSourceUB(p, extra)
+		ms, err := lpEvaluator().MultiSourceUB(p, extra)
 		if err != nil {
 			t.Logf("seed %d: multisource: %v", seed, err)
 			return false
@@ -401,11 +403,12 @@ func TestLBLoadsAreConsistentProperty(t *testing.T) {
 		if !ok {
 			return true
 		}
-		lb, err := MulticastLB(p)
+		ev := lpEvaluator()
+		lb, err := ev.MulticastLB(p)
 		if err != nil || lb.Infeasible() {
 			return err == nil
 		}
-		flows := RecoverUnitFlows(p.G, lb.EdgeLoad, p.Source, p.Targets)
+		flows := ev.RecoverUnitFlows(p.G, lb.EdgeLoad, p.Source, p.Targets)
 		for _, tgt := range p.Targets {
 			total := 0.0
 			for _, id := range p.G.InEdges(tgt, nil) {
@@ -453,12 +456,12 @@ func TestLBFormulationsAgree(t *testing.T) {
 		if !ok {
 			return true
 		}
-		direct, err := multicastLBDirect(p, nil, nil, false)
+		direct, err := lbIn(p, multicastLBDirect)
 		if err != nil {
 			t.Logf("seed %d: direct: %v", seed, err)
 			return false
 		}
-		cuts, err := multicastLBCuts(p, LBOptions{WarmStart: true})
+		cuts, err := lbIn(p, multicastLBCuts)
 		if err != nil {
 			t.Logf("seed %d: cuts: %v", seed, err)
 			return false
@@ -478,4 +481,15 @@ func TestLBFormulationsAgree(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// lbIn solves p in one forced Multicast-LB formulation on a fresh
+// workspace and scratch, behind the reachability check multicastLB
+// makes before it picks a formulation.
+func lbIn(p Problem, solve func(Problem, lbOptions) (*Bound, error)) (*Bound, error) {
+	if !p.G.ReachesAll(p.Source, p.Targets) {
+		return infeasibleBound(), nil
+	}
+	sc := &scratch{edges: p.G.AppendActiveEdges(nil)}
+	return solve(p, lbOptions{ws: lp.NewWorkspace(), sc: sc})
 }
