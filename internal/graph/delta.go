@@ -10,11 +10,10 @@ import (
 // every layer that perturbs a platform: the what-if engine's scenarios
 // (internal/whatif), the serving layer's PATCH /v1/platforms/{id}
 // endpoint and mutation log (internal/serve), and the incremental
-// replan entry point (steady.Evaluator.Replan, internal/live). Keeping
-// one vocabulary means a link failure is the same object whether it is
-// a hypothetical (what-if), an observed event (PATCH) or a replan
-// trigger (live), and the fingerprint/version interplay is defined in
-// exactly one place.
+// replan entry point (steady.Evaluator.Replan). Keeping one vocabulary
+// means a link failure is the same object whether it is a hypothetical
+// (what-if), an observed event (PATCH) or a replan trigger, and the
+// fingerprint/version interplay is defined in exactly one place.
 //
 // Ops split into two families:
 //

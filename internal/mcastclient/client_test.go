@@ -209,8 +209,8 @@ func TestClientPatchSubscribe(t *testing.T) {
 
 	// Mid-stream disconnect: close the subscription, mutate while
 	// nobody is watching, then resume past the last seen version. The
-	// resumed stream must start at version 3 — version 2 is suppressed
-	// by the cursor even though the replan loop replays it.
+	// resumed stream must start at version 3, the first version past
+	// the cursor.
 	if err := sub.Close(); err != nil {
 		t.Fatal(err)
 	}

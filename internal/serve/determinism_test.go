@@ -197,8 +197,8 @@ func (e *platformEntry) source(t *testing.T) graph.NodeID {
 // versioned response — plan bodies by their X-Mcastd-Version header,
 // batch plan lines by their embedded fingerprint, subscribe lines by
 // their version field — must be byte-identical to a cold solve
-// (executePlan on a fresh evaluator) of that version's retained
-// snapshot. Churn may change WHICH answer a request gets, never a byte
+// (executePlan on a fresh evaluator) of that version's snapshot, rebuilt
+// by replaying the platform's mutation log onto the uploaded text. Churn may change WHICH answer a request gets, never a byte
 // WITHIN any answer.
 func TestChurnDeterminism(t *testing.T) {
 	if testing.Short() {
@@ -213,7 +213,7 @@ func TestChurnDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := New(Config{Shards: 4, VersionHistory: 4096, MutationLog: 4096})
+	s := New(Config{Shards: 4})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	client := ts.Client()
@@ -409,20 +409,46 @@ func TestChurnDeterminism(t *testing.T) {
 		}
 	}
 
-	// Cold references: for every retained version, the snapshot's
-	// fingerprint; per distinct fingerprint (the x2/x0.5 toggling folds
-	// 49 versions onto few contents), executePlan on a fresh evaluator.
+	// Cold references: rebuild every version by replaying the mutation
+	// log onto the uploaded text, which also checks that the log is
+	// faithful — each replayed fingerprint must equal the logged one.
+	// Per distinct fingerprint (the x2/x0.5 toggling folds 49 versions
+	// onto few contents), executePlan on a fresh evaluator.
+	log, ok := s.reg.changes("churn")
+	if !ok || int64(len(log)) != finalVersion {
+		t.Fatalf("mutation log holds %d records, want %d", len(log), finalVersion)
+	}
+	g, err := graph.Decode(strings.NewReader(text.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	source, ok := g.NodeByName(pl.G.Name(pl.Source))
+	if !ok {
+		t.Fatal("uploaded text lost the source")
+	}
 	verToFp := make(map[int64]string)
-	fpToVer := make(map[string]int64)
-	for v := int64(1); v <= finalVersion; v++ {
-		snap, ok := s.reg.at("churn", v)
-		if !ok {
-			t.Fatalf("version %d rotated out of history", v)
+	fpToGraph := make(map[string]*graph.Graph)
+	for i, rec := range log {
+		if rec.Version != int64(i+1) {
+			t.Fatalf("log record %d has version %d", i, rec.Version)
 		}
-		fp := snap.fingerprint()
-		verToFp[v] = fp
-		if _, ok := fpToVer[fp]; !ok {
-			fpToVer[fp] = v
+		g = g.Clone()
+		for _, wireOp := range rec.Ops {
+			op, err := resolvePatchOp(g, wireOp)
+			if err != nil {
+				t.Fatalf("replaying version %d: %v", rec.Version, err)
+			}
+			if _, err := (graph.Delta{op}).Apply(g); err != nil {
+				t.Fatalf("replaying version %d: %v", rec.Version, err)
+			}
+		}
+		fp := fmt.Sprintf("%016x", steady.Fingerprint(g))
+		if fp != rec.Fingerprint {
+			t.Fatalf("replayed version %d has fingerprint %s, the log records %s", rec.Version, fp, rec.Fingerprint)
+		}
+		verToFp[rec.Version] = fp
+		if _, ok := fpToGraph[fp]; !ok {
+			fpToGraph[fp] = g
 		}
 	}
 	boundsM, _ := boundsMask(bounds)
@@ -435,14 +461,13 @@ func TestChurnDeterminism(t *testing.T) {
 		if r, ok := cache[fp]; ok {
 			return r
 		}
-		v, ok := fpToVer[fp]
+		g, ok := fpToGraph[fp]
 		if !ok {
-			t.Fatalf("response fingerprint %s matches no retained version", fp)
+			t.Fatalf("response fingerprint %s matches no logged version", fp)
 		}
-		snap, _ := s.reg.at("churn", v)
-		ref, err := executePlan(steady.NewEvaluator(), snap.g, snap.fp, snap.source(t), targets, bm, hm)
+		ref, err := executePlan(steady.NewEvaluator(), g, steady.Fingerprint(g), source, targets, bm, hm)
 		if err != nil {
-			t.Fatalf("cold solve of version %d: %v", v, err)
+			t.Fatalf("cold solve of fingerprint %s: %v", fp, err)
 		}
 		ref.PlatformID = "churn"
 		cache[fp] = ref

@@ -52,8 +52,9 @@ type PatchResponse struct {
 	// Invalidated counts the previous version's cached plans dropped by
 	// this mutation.
 	Invalidated int `json:"invalidated,omitempty"`
-	// Repaired counts the live subscription loops notified to recompute
-	// (and re-cache) their plans against the new version.
+	// Repaired counts the subscribe streams following the platform when
+	// the new version was published: each one recomputes (and re-caches)
+	// its plan against the new version.
 	Repaired int `json:"repaired,omitempty"`
 }
 
@@ -165,7 +166,7 @@ func (s *Server) handlePatchPlatform(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("empty delta batch"))
 		return
 	}
-	old, cur, err := s.reg.patch(id, func(g *graph.Graph) ([]PatchOp, error) {
+	p, old, cur, err := s.reg.patch(id, func(g *graph.Graph) ([]PatchOp, error) {
 		// Resolve and apply op by op: name resolution must see the
 		// effects of earlier ops of the batch. The clone is discarded on
 		// any error, which is what makes the batch atomic.
@@ -199,10 +200,11 @@ func (s *Server) handlePatchPlatform(w http.ResponseWriter, r *http.Request) {
 			return k.id == cur.id && k.fp == old.fp
 		})
 	}
-	// Repair: wake the platform's replan loops so every subscribed spec
-	// recomputes against the new version — re-entering the plan cache
-	// instead of leaving the invalidated specs orphaned.
-	resp.Repaired = s.hub.notifyPlatform(cur.id)
+	// Repair: publishing cur woke the platform's subscribe streams, so
+	// every subscribed spec recomputes against the new version —
+	// re-entering the plan cache instead of leaving the invalidated
+	// specs orphaned.
+	resp.Repaired = int(p.streams.Load())
 	s.bumpLive(func(ls *LiveStats) { ls.Patches++; ls.PatchOps += int64(len(req.Ops)) })
 	w.Header().Set(HeaderVersion, fmt.Sprintf("%d", cur.version))
 	writeJSON(w, http.StatusOK, resp)

@@ -30,6 +30,9 @@ type platformEntry struct {
 	edges      int
 	gen        int   // upload generation of this ID, starting at 1
 	version    int64 // monotonic per-platform version, bumped by uploads AND patches
+	// superseded is closed when the next version of the platform is
+	// published: subscribe streams wait on it for their next plan.
+	superseded chan struct{}
 }
 
 func (e *platformEntry) fingerprint() string { return fmt.Sprintf("%016x", e.fp) }
@@ -46,42 +49,41 @@ type ChangeRecord struct {
 	Edges       int       `json:"edges"`
 }
 
+// mutationLogCap caps the change records kept per platform and served
+// by GET /v1/platforms/{id}/log.
+const mutationLogCap = 256
+
 // platform is the mutable holder behind one ID: the current snapshot
 // (atomic, so readers never block on a mutation in progress), the
-// mutation log and the recent-snapshot history that lets the
-// determinism tests cold-solve any version a response was stamped
-// with.
+// mutation log and the count of subscribe streams following it.
 type platform struct {
 	mu  sync.Mutex // serialises mutations of this ID
 	cur atomic.Pointer[platformEntry]
-	// log is the mutation log, newest last, capped at the registry's
-	// logCap.
+	// log is the mutation log, newest last, capped at mutationLogCap.
 	log []ChangeRecord
-	// history holds the most recent snapshots (including cur), newest
-	// last, capped at the registry's histCap.
-	history []*platformEntry
+	// streams counts the subscribe streams following this platform.
+	streams atomic.Int64
 }
 
 // registry is the platform store: upload once, reference by ID, mutate
 // with PATCH deltas.
 type registry struct {
-	mu      sync.RWMutex
-	m       map[string]*platform
-	histCap int
-	logCap  int
+	mu sync.RWMutex
+	m  map[string]*platform
 }
 
-func newRegistry(histCap, logCap int) *registry {
-	return &registry{m: make(map[string]*platform), histCap: histCap, logCap: logCap}
+func newRegistry() *registry {
+	return &registry{m: make(map[string]*platform)}
 }
 
-// record publishes e as p's current snapshot and appends the log
-// record. Caller holds p.mu.
+// record publishes e as p's current snapshot, wakes the streams waiting
+// on the snapshot it replaces and appends the log record. Caller holds
+// p.mu.
 func (r *registry) record(p *platform, e *platformEntry, kind string, ops []PatchOp) {
-	p.cur.Store(e)
-	p.history = append(p.history, e)
-	if n := len(p.history) - r.histCap; n > 0 {
-		p.history = append(p.history[:0], p.history[n:]...)
+	// Publish before waking: a woken stream must load e, not the old
+	// snapshot whose channel is already closed.
+	if old := p.cur.Swap(e); old != nil {
+		close(old.superseded)
 	}
 	p.log = append(p.log, ChangeRecord{
 		Version:     e.version,
@@ -91,7 +93,7 @@ func (r *registry) record(p *platform, e *platformEntry, kind string, ops []Patc
 		Nodes:       e.nodes,
 		Edges:       e.edges,
 	})
-	if n := len(p.log) - r.logCap; n > 0 {
+	if n := len(p.log) - mutationLogCap; n > 0 {
 		p.log = append(p.log[:0], p.log[n:]...)
 	}
 }
@@ -120,6 +122,7 @@ func (r *registry) put(id string, g *graph.Graph, sourceName string) (*platformE
 		edges:      len(g.ActiveEdges()),
 		gen:        1,
 		version:    1,
+		superseded: make(chan struct{}),
 	}
 	r.mu.Lock()
 	p := r.m[id]
@@ -145,26 +148,20 @@ func (r *registry) put(id string, g *graph.Graph, sourceName string) (*platformE
 // delta to it (returning the resolved ops for the log). On success the
 // clone is published as the next version. The platform's mutation lock
 // is held across resolve, so concurrent PATCHes serialise and each
-// sees its predecessor's effects.
-func (r *registry) patch(id string, resolve func(g *graph.Graph) ([]PatchOp, error)) (old, cur *platformEntry, err error) {
-	r.mu.RLock()
-	p := r.m[id]
-	r.mu.RUnlock()
+// sees its predecessor's effects. It also returns the holder, whose
+// stream count the PATCH response reports.
+func (r *registry) patch(id string, resolve func(g *graph.Graph) ([]PatchOp, error)) (p *platform, old, cur *platformEntry, err error) {
+	p = r.holder(id)
 	if p == nil {
-		return nil, nil, notFound("unknown platform id %q", id)
+		return nil, nil, nil, notFound("unknown platform id %q", id)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	old = p.cur.Load()
-	if old == nil {
-		// The holder was created by a concurrent upload that has not
-		// published its first snapshot yet.
-		return nil, nil, notFound("unknown platform id %q", id)
-	}
 	clone := old.g.Clone()
 	ops, err := resolve(clone)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	cur = &platformEntry{
 		id:         old.id,
@@ -175,9 +172,10 @@ func (r *registry) patch(id string, resolve func(g *graph.Graph) ([]PatchOp, err
 		edges:      len(clone.ActiveEdges()),
 		gen:        old.gen,
 		version:    old.version + 1,
+		superseded: make(chan struct{}),
 	}
 	r.record(p, cur, "patch", ops)
-	return old, cur, nil
+	return p, old, cur, nil
 }
 
 // deriveID builds the content-addressed platform ID. A declared
@@ -193,40 +191,31 @@ func deriveID(fp uint64, sourceName string) string {
 	return fmt.Sprintf("pf-%016x", fp)
 }
 
-func (r *registry) get(id string) (*platformEntry, bool) {
+// holder returns the platform behind id, or nil when id is unknown.
+// A holder that put has inserted but not yet published its first
+// snapshot counts as unknown, so every caller may load cur without a
+// nil check.
+func (r *registry) holder(id string) *platform {
 	r.mu.RLock()
 	p := r.m[id]
 	r.mu.RUnlock()
+	if p == nil || p.cur.Load() == nil {
+		return nil
+	}
+	return p
+}
+
+func (r *registry) get(id string) (*platformEntry, bool) {
+	p := r.holder(id)
 	if p == nil {
 		return nil, false
 	}
 	return p.cur.Load(), true
 }
 
-// at returns the retained snapshot of one platform version, if the
-// history ring still holds it.
-func (r *registry) at(id string, version int64) (*platformEntry, bool) {
-	r.mu.RLock()
-	p := r.m[id]
-	r.mu.RUnlock()
-	if p == nil {
-		return nil, false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := len(p.history) - 1; i >= 0; i-- {
-		if p.history[i].version == version {
-			return p.history[i], true
-		}
-	}
-	return nil, false
-}
-
 // changes returns a copy of one platform's mutation log, oldest first.
 func (r *registry) changes(id string) ([]ChangeRecord, bool) {
-	r.mu.RLock()
-	p := r.m[id]
-	r.mu.RUnlock()
+	p := r.holder(id)
 	if p == nil {
 		return nil, false
 	}
@@ -240,7 +229,9 @@ func (r *registry) list() []*platformEntry {
 	r.mu.RLock()
 	out := make([]*platformEntry, 0, len(r.m))
 	for _, p := range r.m {
-		out = append(out, p.cur.Load())
+		if e := p.cur.Load(); e != nil {
+			out = append(out, e)
+		}
 	}
 	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })

@@ -62,10 +62,11 @@ func disarmPanic(err *error) {
 //
 //   - /readyz flips unready immediately, so fleet routing stops
 //     sending traffic before connections start failing;
-//   - every live subscribe stream is closed; subscribers receive one
-//     final terminator line ({"final":true}) and their handlers
-//     return, so http.Server.Shutdown is not held hostage by
-//     never-ending streams;
+//   - one closed channel wakes every live subscribe stream; each sends
+//     one final terminator line ({"final":true}) and its handler
+//     returns, so http.Server.Shutdown is not held hostage by
+//     never-ending streams (a stream mid-compute sends that version's
+//     line first);
 //   - running async jobs get until ctx's deadline to finish; jobs
 //     still unfinished then are canceled (their remaining items drain
 //     as per-item "canceled" error lines and the jobs land in state
@@ -76,8 +77,9 @@ func disarmPanic(err *error) {
 // Synchronous requests already in flight run to completion as usual.
 // Drain is idempotent; concurrent calls both wait.
 func (s *Server) Drain(ctx context.Context) {
-	s.draining.Store(true)
-	s.hub.closeAll()
+	if s.draining.CompareAndSwap(false, true) {
+		close(s.drain)
+	}
 	// Lazy poll, no condition plumbing: job drains are solve-speed
 	// affairs and Drain runs once per process exit.
 	tick := time.NewTicker(5 * time.Millisecond)

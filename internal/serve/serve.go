@@ -10,8 +10,10 @@
 //     re-uploading an ID swaps its content and invalidates the plan
 //     cache entries of the old content. Platforms are *live*: every
 //     mutation — re-upload or a PATCH /v1/platforms/{id} delta batch —
-//     bumps a per-platform version, and GET /v1/platforms/{id}/subscribe
-//     streams each version's re-plan (DESIGN.md Section 14);
+//     bumps a per-platform version and wakes the GET
+//     /v1/platforms/{id}/subscribe streams waiting on the snapshot it
+//     replaces, each of which plans the new version through the cache
+//     and coalescer below (DESIGN.md Section 14);
 //   - an LRU plan cache keyed by (platform fingerprint, source, target
 //     list, requested bounds and heuristics) holding complete
 //     responses;
@@ -66,13 +68,6 @@ type Config struct {
 	// JobTTL is how long a finished (done or canceled) job's results
 	// stay retrievable before eviction. 0 means DefaultJobTTL.
 	JobTTL time.Duration
-	// VersionHistory caps the retained snapshots per platform — old
-	// versions stay addressable (and cold-solvable) until they rotate
-	// out. 0 means DefaultVersionHistory.
-	VersionHistory int
-	// MutationLog caps the change records per platform served by
-	// GET /v1/platforms/{id}/log. 0 means DefaultMutationLog.
-	MutationLog int
 	// DefaultTimeout bounds a request's compute when the request sets no
 	// timeout_ms of its own. 0 means no default deadline (the historical
 	// behaviour); negative also means none.
@@ -167,14 +162,6 @@ func (c Config) jobTTL() time.Duration {
 	return c.JobTTL
 }
 
-// DefaultVersionHistory is the per-platform snapshot retention when
-// Config.VersionHistory is zero.
-const DefaultVersionHistory = 64
-
-// DefaultMutationLog is the per-platform change-log retention when
-// Config.MutationLog is zero.
-const DefaultMutationLog = 256
-
 // DefaultMaxTimeout caps the client-requested timeout_ms when
 // Config.MaxTimeout is zero.
 const DefaultMaxTimeout = 5 * time.Minute
@@ -218,18 +205,4 @@ func (c Config) requestTimeout(timeoutMillis int64) time.Duration {
 		return max
 	}
 	return d
-}
-
-func (c Config) versionHistory() int {
-	if c.VersionHistory <= 0 {
-		return DefaultVersionHistory
-	}
-	return c.VersionHistory
-}
-
-func (c Config) mutationLog() int {
-	if c.MutationLog <= 0 {
-		return DefaultMutationLog
-	}
-	return c.MutationLog
 }

@@ -138,12 +138,13 @@ type Server struct {
 	cache  *planCache
 	flight *flightGroup
 	jobs   *jobStore
-	hub    *hub
 	mux    *http.ServeMux
 	start  time.Time
 
-	// draining flips /readyz unready and is set by Drain.
+	// draining flips /readyz unready and is set by Drain, which also
+	// closes drain to wake every waiting subscribe stream.
 	draining     atomic.Bool
+	drain        chan struct{}
 	deadlineHits atomic.Int64
 	degraded     atomic.Int64
 	panics       atomic.Int64
@@ -171,12 +172,12 @@ type endpointAccum struct {
 func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
-		reg:       newRegistry(cfg.versionHistory(), cfg.mutationLog()),
+		reg:       newRegistry(),
 		pool:      newEvalPool(cfg.shards(), cfg.maxQueue()),
 		cache:     newPlanCache(cfg.cacheSize()),
 		flight:    newFlightGroup(),
 		jobs:      newJobStore(cfg.maxJobs(), cfg.maxJobItems(), cfg.jobTTL()),
-		hub:       newHub(),
+		drain:     make(chan struct{}),
 		mux:       http.NewServeMux(),
 		start:     time.Now(),
 		endpoints: make(map[string]*endpointAccum),
@@ -358,9 +359,6 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 				return k.id == entry.id && k.fp == old.fp
 			})
 		}
-		// A replacement is a mutation like any other: wake the platform's
-		// replan loops so subscribers see the new content.
-		s.hub.notifyPlatform(entry.id)
 	}
 	status := http.StatusCreated
 	if old != nil {
@@ -439,7 +437,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Whatif = s.whatif
 	resp.Batch = s.batch
 	resp.Live = s.live
-	resp.Live.Loops = s.hub.count()
 	for pattern, a := range s.endpoints {
 		es := EndpointStats{
 			Count:       a.count,
@@ -516,8 +513,8 @@ func (s *Server) countDeadline(err error) {
 
 // planResolved executes an already-resolved spec through the cache,
 // coalescer and evaluator pool — the shared back half of handlePlan
-// and the subscription loops (which resolve per version themselves to
-// stamp responses with the version they computed against). wait is
+// and the subscribe streams (which resolve per version themselves to
+// stamp each line with the version it computed against). wait is
 // how long the computation queued for an evaluator; it is meaningful
 // only when how is "miss".
 //

@@ -102,8 +102,6 @@ func (r *resolved) key() planKey {
 // specs fail here with a 4xx apiError, so later execution failures are
 // genuine 500s.
 func (s *Server) resolve(spec *PlanSpec) (*resolved, error) {
-	r := &resolved{}
-	var src string
 	switch {
 	case spec.PlatformID != "" && spec.Platform != "":
 		return nil, platformConflict("platform_id and platform are mutually exclusive")
@@ -112,23 +110,31 @@ func (s *Server) resolve(spec *PlanSpec) (*resolved, error) {
 		if !ok {
 			return nil, notFound("unknown platform id %q", spec.PlatformID)
 		}
-		// Snapshots are immutable once published (mutations publish a new
-		// entry): reuse the fingerprint hashed at publish time instead of
-		// re-walking the graph per request, and pin the whole resolution to
-		// this snapshot — a concurrent PATCH cannot change what this
-		// request computes, only what later requests resolve to.
-		r.g, r.fp, r.id, src = e.g, e.fp, e.id, e.sourceName
-		r.version = e.version
+		return resolveAt(spec, e)
 	case spec.Platform != "":
-		var err error
-		r.g, err = decodePlatform(spec.Platform, s.cfg.maxPlatformBytes())
+		g, err := decodePlatform(spec.Platform, s.cfg.maxPlatformBytes())
 		if err != nil {
 			return nil, err
 		}
-		r.fp = steady.Fingerprint(r.g)
-	default:
-		return nil, badRequest("one of platform_id or platform is required")
+		return (&resolved{g: g, fp: steady.Fingerprint(g)}).bind(spec, "")
 	}
+	return nil, badRequest("one of platform_id or platform is required")
+}
+
+// resolveAt resolves spec against one published snapshot of its
+// registered platform. Snapshots are immutable once published
+// (mutations publish a new entry): the resolution reuses the
+// fingerprint hashed at publish time instead of re-walking the graph
+// per request, and is pinned to e — a concurrent PATCH cannot change
+// what it computes, only what later resolutions see.
+func resolveAt(spec *PlanSpec, e *platformEntry) (*resolved, error) {
+	r := &resolved{g: e.g, fp: e.fp, id: e.id, version: e.version}
+	return r.bind(spec, e.sourceName)
+}
+
+// bind resolves spec's source, targets and bound/heuristic selection
+// against r's platform graph; src is the platform's default source.
+func (r *resolved) bind(spec *PlanSpec, src string) (*resolved, error) {
 	if spec.Source != "" {
 		src = spec.Source
 	}

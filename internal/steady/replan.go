@@ -6,10 +6,9 @@ import (
 	"repro/internal/graph"
 )
 
-// Incremental replanning: the live serving path (internal/live) and
-// any online controller built on the library turn platform mutation
-// events into updated bounds without rebuilding an evaluator per
-// event. Replan applies a graph.Delta in place and re-evaluates on the
+// Incremental replanning: an online controller built on the library
+// turns platform mutation events into updated bounds without
+// rebuilding an evaluator per event. Replan applies a graph.Delta in place and re-evaluates on the
 // same evaluator, so everything the previous solves learned stays
 // warm:
 //
