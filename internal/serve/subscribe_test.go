@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -88,6 +89,15 @@ func patchOK(t *testing.T, s *Server, id string, ops ...PatchOp) PatchResponse {
 func statsOf(t *testing.T, s *Server) StatsResponse {
 	t.Helper()
 	return decodeJSON[StatsResponse](t, doJSON(t, s, http.MethodGet, "/v1/stats", nil))
+}
+
+// servedTotal sums shard_served: the computations handed an evaluator.
+func servedTotal(t *testing.T, s *Server) (n int64) {
+	t.Helper()
+	for _, v := range statsOf(t, s).ShardServed {
+		n += v
+	}
+	return n
 }
 
 func awaitEntered(t *testing.T, g *solveGate) {
@@ -225,13 +235,7 @@ func TestSubscribeSharedWork(t *testing.T) {
 			t.Fatalf("subscriber %d: first line %s", i, raw)
 		}
 	}
-	served := func() (n int64) {
-		for _, v := range statsOf(t, s).ShardServed {
-			n += v
-		}
-		return n
-	}
-	before, coalesced := served(), s.flight.coalescedCount()
+	before, coalesced := servedTotal(t, s), s.flight.coalescedCount()
 
 	// Hold the version-2 compute until every other subscriber has
 	// joined it, so none can miss the flight and find the cache empty.
@@ -259,7 +263,179 @@ func TestSubscribeSharedWork(t *testing.T) {
 			t.Fatalf("subscriber %d line %s differs from %s", i, raw, first)
 		}
 	}
-	if got := served() - before; got != 1 {
+	if got := servedTotal(t, s) - before; got != 1 {
 		t.Fatalf("one PATCH grew shard_served by %d, want 1", got)
 	}
+}
+
+// TestSubscribeDeliversCurrentPlanWithoutMutation subscribes to a
+// platform nobody has patched: the stream opens with the current
+// version's plan, byte-identical to the compacted POST /v1/plan body,
+// and carries nothing else before the drain's final line.
+func TestSubscribeDeliversCurrentPlanWithoutMutation(t *testing.T) {
+	s, ts := newStreamServer(t, Config{Shards: 1})
+	st := openStream(t, ts, "/v1/platforms/d/subscribe?targets=t1,t2")
+	l, raw := st.next(t)
+	if l.Version != 1 || l.Plan == nil || l.Error != nil {
+		t.Fatalf("first line %s, want a plan at version 1", raw)
+	}
+
+	w := doJSON(t, s, http.MethodPost, "/v1/plan", planReq([]string{"t1", "t2"}, nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("plan: status %d %s", w.Code, w.Body.String())
+	}
+	var want bytes.Buffer
+	if err := json.Compact(&want, w.Body.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(l.Plan, want.Bytes()) {
+		t.Fatalf("streamed plan %s differs from POST /v1/plan body %s", l.Plan, want.Bytes())
+	}
+	s.Drain(context.Background())
+	if l, raw := st.next(t); !l.Final {
+		t.Fatalf("got line %s after version 1, want the final line", raw)
+	}
+	// The final line is not an update, and the v1 update was counted
+	// before the stream went on to wait.
+	if n := statsOf(t, s).Live.Updates; n != 1 {
+		t.Fatalf("stream carried %d updates without a mutation, want 1", n)
+	}
+}
+
+// TestSubscribeCoalescesBursts lands 20 back-to-back PATCHes while a
+// subscriber reads: the stream converges on the newest version, and
+// the burst computes exactly the versions the stream carries — no
+// version is planned and then dropped.
+func TestSubscribeCoalescesBursts(t *testing.T) {
+	s, ts := newStreamServer(t, Config{Shards: 1})
+	st := openStream(t, ts, "/v1/platforms/d/subscribe?targets=t1,t2")
+	if l, raw := st.next(t); l.Version != 1 {
+		t.Fatalf("first line %s", raw)
+	}
+	before := servedTotal(t, s)
+
+	const burst = 20
+	for i := 0; i < burst; i++ {
+		patchOK(t, s, "d", PatchOp{Op: "scale_edge_cost", From: "S", To: "r1", Factor: 1.25})
+	}
+	lines, prev := int64(0), int64(1)
+	for prev < 1+burst {
+		l, raw := st.next(t)
+		if l.Version <= prev || l.Plan == nil {
+			t.Fatalf("got line %s after version %d, want a plan for a newer version", raw, prev)
+		}
+		prev = l.Version
+		lines++
+	}
+	if got := servedTotal(t, s) - before; got != lines {
+		t.Fatalf("burst of %d PATCHes cost %d computes for %d streamed versions", burst, got, lines)
+	}
+}
+
+// TestSubscribeSlowReaderGetsNewest wedges a subscriber's write of
+// version 2 while versions 3 to 6 land: once the write goes through,
+// the stream's next line is version 6 — a slow reader skips the
+// intermediate versions instead of queueing them.
+func TestSubscribeSlowReaderGetsNewest(t *testing.T) {
+	s, ts := newStreamServer(t, Config{Shards: 1})
+	st := openStream(t, ts, "/v1/platforms/d/subscribe?targets=t1,t2")
+	if l, raw := st.next(t); l.Version != 1 {
+		t.Fatalf("first line %s", raw)
+	}
+
+	gate := newSolveGate()
+	faultinject.Set(&faultinject.Hooks{StreamWrite: gate.hook})
+	defer faultinject.Set(nil)
+	patchOK(t, s, "d", PatchOp{Op: "scale_edge_cost", From: "S", To: "r1", Factor: 2})
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the version-2 line never reached the stream write")
+	}
+	for i := 0; i < 4; i++ {
+		patchOK(t, s, "d", PatchOp{Op: "scale_edge_cost", From: "S", To: "r1", Factor: 2})
+	}
+	close(gate.release)
+
+	for _, want := range []int64{2, 6} {
+		if l, raw := st.next(t); l.Version != want || l.Plan == nil {
+			t.Fatalf("got line %s, want a plan for version %d", raw, want)
+		}
+	}
+	s.Drain(context.Background())
+	if l, raw := st.next(t); !l.Final {
+		t.Fatalf("got line %s after version 6, want the final line", raw)
+	}
+}
+
+// TestSubscribeVersionsMonotonic runs four concurrent PATCH writers
+// against one subscriber: the stream's versions strictly increase and
+// end at the last version written.
+func TestSubscribeVersionsMonotonic(t *testing.T) {
+	s, ts := newStreamServer(t, Config{Shards: 2})
+	st := openStream(t, ts, "/v1/platforms/d/subscribe?targets=t1,t2")
+	if l, raw := st.next(t); l.Version != 1 {
+		t.Fatalf("first line %s", raw)
+	}
+
+	const writers, each = 4, 5
+	var wg sync.WaitGroup
+	for range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range each {
+				w := doJSON(t, s, http.MethodPatch, "/v1/platforms/d", PatchRequest{Ops: []PatchOp{{Op: "scale_edge_cost", From: "S", To: "r1", Factor: 1.25}}})
+				if w.Code != http.StatusOK {
+					t.Errorf("patch: status %d %s", w.Code, w.Body.String())
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	got := []int64{1}
+	for got[len(got)-1] < 1+writers*each {
+		l, raw := st.next(t)
+		if l.Plan == nil {
+			t.Fatalf("got line %s, want a plan", raw)
+		}
+		got = append(got, l.Version)
+		if l.Version <= got[len(got)-2] {
+			t.Fatalf("versions not strictly increasing: %v", got)
+		}
+	}
+}
+
+// TestDrainUnblocksIdleSubscribers parks three subscribers, each
+// waiting for a version after its first: Drain must give every one its
+// final line and then end its stream cleanly.
+func TestDrainUnblocksIdleSubscribers(t *testing.T) {
+	s, ts := newStreamServer(t, Config{Shards: 1})
+	streams := make([]*lineStream, 3)
+	for i := range streams {
+		streams[i] = openStream(t, ts, "/v1/platforms/d/subscribe?targets=t1,t2")
+		if l, raw := streams[i].next(t); l.Version != 1 {
+			t.Fatalf("subscriber %d: first line %s", i, raw)
+		}
+	}
+
+	s.Drain(context.Background())
+	for i, st := range streams {
+		if l, raw := st.next(t); !l.Final {
+			t.Fatalf("subscriber %d: got line %s, want the final line", i, raw)
+		}
+		timer := time.AfterFunc(10*time.Second, st.cancel)
+		more := st.sc.Scan()
+		timer.Stop()
+		if more || st.sc.Err() != nil {
+			t.Fatalf("subscriber %d: stream did not end after the final line (line %q, err %v)", i, st.sc.Bytes(), st.sc.Err())
+		}
+	}
+	waitUntil(t, "every stream handler to exit", func() bool {
+		return statsOf(t, s).Live.StreamsActive == 0
+	})
 }
